@@ -16,9 +16,11 @@ the per-job loop.  Two regimes (DESIGN.md section 13):
   the values the next pass reads, and each job must consume *its own*
   corruption streams exactly as the looped run would.  So the radix passes
   and merge levels execute pass by pass — digit extraction, stable
-  argsort, and permutation as single 2-D/ragged operations over all
-  segments, with thin per-segment ``write_block`` calls that draw each
-  job's corruption from its own RNG.
+  argsort and permutation as single 2-D operations over all segments,
+  each merge level as one call of the shared merge kernel
+  (:mod:`repro.sorting.merge_kernels`) over the concatenated segments —
+  with thin per-segment ``write_block`` calls that draw each job's
+  corruption from its own RNG.
 
 Ragged batches are handled by padding rows to the longest active segment
 with ``0xFFFFFFFF`` sentinels.  Pads start in the trailing columns and
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.sorting.mergesort import _merge_pair, _merge_walk
+from repro.sorting.merge_kernels import level_order
 from repro.sorting.radix import _digits_np, lsd_digit_plan
 
 from .segments import charge_reads, raw
@@ -245,88 +247,22 @@ def _merge_level_ragged(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One merge level of run width ``width`` for every part at once.
 
-    All parts' *full* run pairs stack into one ``(rows, 2*width)`` matrix
-    and merge through the keyed double-``searchsorted`` of the PR-2 level
-    kernel (:func:`repro.sorting.mergesort._merge_level`); corrupted
-    (unsorted) rows replay the scalar two-pointer walk, and each part's
-    trailing partial pair merges via ``_merge_pair`` — so every part's
-    output is bit-identical to the looped level on the same values.
+    The parts concatenate into one array and a single call of the merge
+    kernel (:func:`repro.sorting.merge_kernels.level_order`) permutes
+    every part's run pairs — full, trailing partial and corrupted alike —
+    so every part's output is bit-identical to the looped level on the
+    same values.
     """
-    span = 2 * width
-    full_rows = [part.size // span for part in vals_parts]
-    stacked = [
-        vals_parts[k][: full_rows[k] * span].reshape(full_rows[k], span)
-        for k in range(len(vals_parts))
-        if full_rows[k]
-    ]
-    outputs = [
-        (np.empty(part.size, dtype=np.uint32), np.empty(part.size, dtype=np.uint32))
-        for part in vals_parts
-    ]
-    if stacked:
-        blocks = np.vstack(stacked).astype(np.int64)
-        id_blocks = np.vstack(
-            [
-                id_parts[k][: full_rows[k] * span].reshape(full_rows[k], span)
-                for k in range(len(id_parts))
-                if full_rows[k]
-            ]
+    sizes = [part.size for part in vals_parts]
+    values = np.concatenate(vals_parts)
+    order = level_order(values, width, sizes=sizes)
+    bounds = np.cumsum(sizes)[:-1]
+    return list(
+        zip(
+            np.split(values[order], bounds),
+            np.split(np.concatenate(id_parts)[order], bounds),
         )
-        merged, merged_ids = _merge_rows(blocks, id_blocks, width)
-        row = 0
-        for k, rows in enumerate(full_rows):
-            if rows:
-                outputs[k][0][: rows * span] = merged[row : row + rows].ravel()
-                outputs[k][1][: rows * span] = merged_ids[row : row + rows].ravel()
-                row += rows
-    for k, part in enumerate(vals_parts):
-        tail = full_rows[k] * span
-        n = part.size
-        if tail < n:
-            mid = min(tail + width, n)
-            merged_tail, merged_tail_ids = _merge_pair(
-                part[tail:mid], part[mid:n],
-                id_parts[k][tail:mid], id_parts[k][mid:n],
-            )
-            outputs[k][0][tail:n] = merged_tail
-            outputs[k][1][tail:n] = merged_tail_ids
-    return outputs
-
-
-def _merge_rows(
-    blocks: np.ndarray, id_blocks: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge each ``(row, 2*width)`` pair of runs; rows are independent."""
-    total_rows, span = blocks.shape
-    left = blocks[:, :width]
-    right = blocks[:, width:]
-    dirty = (np.diff(left, axis=1) < 0).any(axis=1)
-    dirty |= (np.diff(right, axis=1) < 0).any(axis=1)
-    out = np.empty((total_rows, span), dtype=np.uint32)
-    out_ids = np.empty((total_rows, span), dtype=np.uint32)
-    clean = np.flatnonzero(~dirty)
-    if clean.size:
-        m = clean.size
-        row_key = (np.arange(m, dtype=np.int64) << np.int64(32))[:, None]
-        left_keyed = (left[clean] + row_key).ravel()
-        right_keyed = (right[clean] + row_key).ravel()
-        col = np.tile(np.arange(width, dtype=np.int64), m)
-        cross = np.repeat(np.arange(m, dtype=np.int64) * width, width)
-        pos_left = col + np.searchsorted(right_keyed, left_keyed, side="left") - cross
-        pos_right = col + np.searchsorted(left_keyed, right_keyed, side="right") - cross
-        row_rep = np.repeat(clean, width)
-        out[row_rep, pos_left] = (left_keyed & 0xFFFFFFFF).astype(np.uint32)
-        out[row_rep, pos_right] = (right_keyed & 0xFFFFFFFF).astype(np.uint32)
-        out_ids[row_rep, pos_left] = id_blocks[clean, :width].ravel()
-        out_ids[row_rep, pos_right] = id_blocks[clean, width:].ravel()
-    for row in np.flatnonzero(dirty).tolist():
-        merged, merged_ids = _merge_walk(
-            blocks[row, :width].tolist(), blocks[row, width:].tolist(),
-            id_blocks[row, :width].tolist(), id_blocks[row, width:].tolist(),
-        )
-        out[row] = merged
-        out_ids[row] = merged_ids
-    return out, out_ids
+    )
 
 
 def find_rem_segments(id_arrays: Sequence, key0_arrays: Sequence) -> list[list[int]]:

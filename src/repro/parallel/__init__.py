@@ -7,8 +7,6 @@ Public surface:
   persistent fork pool over ``multiprocessing.shared_memory`` → stats
   reduction → write-combined merge).
 * :mod:`~repro.parallel.pool` — the persistent fork worker pool.
-* :mod:`~repro.parallel.shard_kernels` — fused precise-memory shard
-  kernels with analytic accounting.
 
 Spec strings understood by :func:`repro.sorting.make_sorter`:
 ``"sharded:<base>"`` and ``"sharded:<base>:<shards>"``; the
@@ -18,14 +16,12 @@ wraps every plain registry sorter the same way.
 
 from .pool import WorkerPool, fork_available, get_pool, shutdown_pools
 from .sharded import SHARD_WORKERS_ENV, ShardedSorter
-from .shard_kernels import fused_kernel_for
 
 __all__ = [
     "SHARD_WORKERS_ENV",
     "ShardedSorter",
     "WorkerPool",
     "fork_available",
-    "fused_kernel_for",
     "get_pool",
     "shutdown_pools",
 ]

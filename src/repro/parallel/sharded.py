@@ -19,8 +19,8 @@
    buffer is a plain allocation and shards run in-process.  Both paths
    build identical arrays with identical seeds and run the identical
    kernel, so they are bit-identical in output *and* stats — pooling is
-   purely a placement decision.  Precise-memory shards additionally take
-   the fused kernels of :mod:`repro.parallel.shard_kernels`.
+   purely a placement decision.  Each shard runs ``base.sort`` itself,
+   so precise-memory mergesort shards take the sorter's own fused path.
 3. **Reduce**: per-shard stats merge into the operands' stats in shard
    order (fixed float summation order → bit-exact aggregate), each merge
    wrapped in a ``shard.<i>`` tracer span whose delta *is* that shard's
@@ -57,7 +57,6 @@ from repro.obs import get_tracer
 from repro.sorting.base import BaseSorter
 
 from .pool import fork_available, get_pool
-from .shard_kernels import fused_kernel_for
 
 #: Module path shipped to workers for late task binding.
 _MODULE = "repro.parallel.sharded"
@@ -128,11 +127,7 @@ def _sort_shard_segment(
         else None
     )
     if len(keys) >= 2:
-        fused = fused_kernel_for(base, keys, ids)
-        if fused is not None:
-            fused(keys, ids)
-        else:
-            base.sort(keys, ids)
+        base.sort(keys, ids)
     return keys_stats, ids_stats
 
 

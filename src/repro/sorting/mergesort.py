@@ -14,6 +14,12 @@ Balkesen et al. [4].  The paper also sizes first-level chunks to the L2
 cache; under the study's write-through cache model this does not change the
 memory write stream, so the classic run-size-1 bottom-up schedule is used
 (see DESIGN.md).
+
+With numpy kernels each level is one call of the shared merge kernel
+(:mod:`repro.sorting.merge_kernels`), which reproduces the scalar walk
+exactly even on runs corruption has left unsorted.  On bare precise memory
+the whole sort collapses further to one stable argsort plus the
+closed-form level traffic (:meth:`Mergesort._sort_fused`).
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.memory.approx_array import InstrumentedArray
+from repro.memory.approx_array import InstrumentedArray, PreciseArray
 from repro.obs import get_tracer
 
 from .base import BaseSorter, nlog2n
+from .merge_kernels import level_order, runs_order
 
 
 class Mergesort(BaseSorter):
@@ -37,6 +44,56 @@ class Mergesort(BaseSorter):
     def _sort(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
     ) -> None:
+        if self._fusable(keys, ids):
+            self._sort_fused(keys, ids)
+        else:
+            self._sort_levels(keys, ids)
+
+    def _fusable(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> bool:
+        """Whether the whole sort may collapse to one stable argsort.
+
+        Requires the numpy kernels (no trace hook, no order-sensitive
+        operand), bare :class:`PreciseArray` operands — approximate memory
+        must draw its corruption level by level, and the strict type check
+        excludes wrappers such as sanitizer shadows — and a disabled tracer,
+        so a traced run still shows its ``merge.level*`` spans.
+        """
+        return (
+            self._use_numpy_kernels(keys, ids)
+            and type(keys) is PreciseArray
+            and (ids is None or type(ids) is PreciseArray)
+            and not get_tracer().enabled
+        )
+
+    @staticmethod
+    def _sort_fused(keys: PreciseArray, ids: Optional[PreciseArray]) -> None:
+        """Bottom-up mergesort on precise memory, fused.
+
+        A stable bottom-up mergesort's output is the unique stable
+        ascending order, so one stable argsort reproduces it bit for bit.
+        Accounting replays the level path exactly: ``ceil(log2 n)`` levels,
+        each reading and rewriting every element of each array once, plus
+        the copy-home pass when the level count is odd.
+        """
+        n = len(keys)
+        values = keys.peek_block_np(0, n)
+        order = np.argsort(values, kind="stable")
+        levels = math.ceil(math.log2(n))
+        touches = (levels + (levels % 2)) * n  # per array: reads == writes
+        keys.stats.record_precise_read(touches)
+        keys.stats.record_precise_write(touches)
+        keys.poke_block_np(0, values[order])
+        if ids is not None:
+            ids.stats.record_precise_read(touches)
+            ids.stats.record_precise_write(touches)
+            ids.poke_block_np(0, ids.peek_block_np(0, n)[order])
+
+    def _sort_levels(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> None:
+        """The level-by-level sort over ping-pong buffers."""
         n = len(keys)
         src_keys: InstrumentedArray = keys
         dst_keys = keys.clone_empty(name=f"{keys.name}.merge-buffer")
@@ -104,20 +161,21 @@ class Mergesort(BaseSorter):
         element is read once and rewritten once across its pair merges), so
         reading the whole array with one ``read_block_np`` and writing the
         merged level with one ``write_block`` charges identical counts —
-        ``MemoryStats`` accounting is grouping-invariant.  On precise memory
-        the level output is bit-identical to the scalar pass; on approximate
-        memory the corruption stream regroups (one block draw per level
-        instead of one per pair merge), so runs agree statistically, not bit
-        for bit.
+        ``MemoryStats`` accounting is grouping-invariant.  The merge kernel
+        permutes every pair of the level at once, corrupted runs included,
+        exactly as the scalar walks would.  On precise memory the level
+        output is bit-identical to the scalar pass; on approximate memory
+        the corruption stream regroups (one block draw per level instead of
+        one per pair merge), so runs agree statistically, not bit for bit.
         """
         values = src_keys.read_block_np(0, n)
         id_values = (
             src_ids.read_block_np(0, n) if src_ids is not None else None
         )
-        out, out_ids = _merge_level(values, id_values, width)
-        dst_keys.write_block(0, out)
-        if dst_ids is not None and out_ids is not None:
-            dst_ids.write_block(0, out_ids)
+        order = level_order(values, width)
+        dst_keys.write_block(0, values[order])
+        if dst_ids is not None and id_values is not None:
+            dst_ids.write_block(0, id_values[order])
 
     @staticmethod
     def _merge_runs(
@@ -172,28 +230,18 @@ class Mergesort(BaseSorter):
     ) -> None:
         """Vectorized merge of ``src[lo:mid]`` and ``src[mid:hi]``.
 
-        Both runs sorted (always true on precise memory): the stable merge
-        permutation comes from two ``np.searchsorted`` calls — a left
-        element lands after the right elements strictly below it, a right
-        element after the left elements at or below it, which is exactly
-        the ``<=``-stable order of the scalar walk.  A corrupted
-        (unsorted) run falls back to the scalar two-pointer walk on the
-        already-read values; memory accesses are block-accounted the same
-        either way.
+        The merge kernel reproduces the scalar ``<=`` walk exactly, for
+        sorted and corruption-unsorted runs alike; one block read and one
+        block write per array charge what the scalar merge charges.
         """
-        left = src_keys.read_block_np(lo, mid - lo)
-        right = src_keys.read_block_np(mid, hi - mid)
-        left_ids = (
-            src_ids.read_block_np(lo, mid - lo) if src_ids is not None else None
+        values = src_keys.read_block_np(lo, hi - lo)
+        id_values = (
+            src_ids.read_block_np(lo, hi - lo) if src_ids is not None else None
         )
-        right_ids = (
-            src_ids.read_block_np(mid, hi - mid) if src_ids is not None else None
-        )
-
-        merged_keys, merged_ids = _merge_pair(left, right, left_ids, right_ids)
-        dst_keys.write_block(lo, merged_keys)
-        if dst_ids is not None and merged_ids is not None:
-            dst_ids.write_block(lo, merged_ids)
+        order = runs_order(values, (mid - lo, hi - mid))
+        dst_keys.write_block(lo, values[order])
+        if dst_ids is not None and id_values is not None:
+            dst_ids.write_block(lo, id_values[order])
 
     def expected_key_writes(self, n: int) -> float:
         """alpha_mergesort(n) ~ n*log2(n) (paper Section 4.3)."""
@@ -216,153 +264,3 @@ class Mergesort(BaseSorter):
         """The paper's approximation ``alpha_mergesort(n) = n*log2(n)``."""
         return nlog2n(n)
 
-
-def _run_is_sorted(run: np.ndarray) -> bool:
-    """True iff the run is non-decreasing (vectorized, unaccounted)."""
-    return run.size < 2 or bool((run[1:] >= run[:-1]).all())
-
-
-def _merge_pair(
-    left: np.ndarray,
-    right: np.ndarray,
-    left_ids: "np.ndarray | None",
-    right_ids: "np.ndarray | None",
-) -> "tuple[np.ndarray | list[int], np.ndarray | list[int] | None]":
-    """Merge one run pair on already-read values (no memory accesses).
-
-    Sorted runs take the two-``searchsorted`` stable permutation; a
-    corrupted (unsorted) run falls back to the scalar two-pointer walk,
-    whose output the vectorized path must replicate exactly.
-    """
-    if right.size == 0:
-        return left, left_ids
-    if not (_run_is_sorted(left) and _run_is_sorted(right)):
-        return _merge_walk(
-            left.tolist(), right.tolist(),
-            left_ids.tolist() if left_ids is not None else None,
-            right_ids.tolist() if right_ids is not None else None,
-        )
-    pos_left = np.arange(left.size) + np.searchsorted(right, left, side="left")
-    pos_right = np.arange(right.size) + np.searchsorted(
-        left, right, side="right"
-    )
-    merged_keys = np.empty(left.size + right.size, dtype=np.uint32)
-    merged_keys[pos_left] = left
-    merged_keys[pos_right] = right
-    merged_ids = None
-    if left_ids is not None and right_ids is not None:
-        merged_ids = np.empty(merged_keys.size, dtype=np.uint32)
-        merged_ids[pos_left] = left_ids
-        merged_ids[pos_right] = right_ids
-    return merged_keys, merged_ids
-
-
-def _merge_level(
-    values: np.ndarray, id_values: "np.ndarray | None", width: int
-) -> "tuple[np.ndarray, np.ndarray | None]":
-    """One bottom-up merge level of run width ``width``, fully in numpy.
-
-    All full pairs whose runs are both sorted merge in a *single* pair of
-    ``searchsorted`` calls: each pair's runs are keyed with a disjoint
-    ``row << 32`` offset, making the concatenation of all left (and all
-    right) runs globally sorted, and the within-pair merge positions drop
-    out of the global ranks by subtracting each row's cross-pair
-    contribution.  Pairs containing a corrupted (unsorted) run replay the
-    scalar two-pointer walk; the trailing partial pair merges on its own.
-    """
-    n = values.size
-    out = np.empty(n, dtype=np.uint32)
-    out_ids = (
-        np.empty(n, dtype=np.uint32) if id_values is not None else None
-    )
-    span = 2 * width
-    nf = n // span
-    tail = nf * span
-
-    if nf:
-        blocks = values[:tail].reshape(nf, span).astype(np.int64)
-        left = blocks[:, :width]
-        right = blocks[:, width:]
-        dirty = (np.diff(left, axis=1) < 0).any(axis=1)
-        dirty |= (np.diff(right, axis=1) < 0).any(axis=1)
-        clean = np.flatnonzero(~dirty)
-        if clean.size:
-            m = clean.size
-            row_key = (np.arange(m, dtype=np.int64) << np.int64(32))[:, None]
-            left_keyed = (left[clean] + row_key).ravel()
-            right_keyed = (right[clean] + row_key).ravel()
-            col = np.tile(np.arange(width, dtype=np.int64), m)
-            cross = np.repeat(np.arange(m, dtype=np.int64) * width, width)
-            pos_left = col + np.searchsorted(
-                right_keyed, left_keyed, side="left"
-            ) - cross
-            pos_right = col + np.searchsorted(
-                left_keyed, right_keyed, side="right"
-            ) - cross
-            base = np.repeat(clean * span, width)
-            out[base + pos_left] = (left_keyed & 0xFFFFFFFF).astype(np.uint32)
-            out[base + pos_right] = (right_keyed & 0xFFFFFFFF).astype(
-                np.uint32
-            )
-            if id_values is not None and out_ids is not None:
-                id_blocks = id_values[:tail].reshape(nf, span)
-                out_ids[base + pos_left] = id_blocks[clean, :width].ravel()
-                out_ids[base + pos_right] = id_blocks[clean, width:].ravel()
-        for row in np.flatnonzero(dirty).tolist():
-            lo = row * span
-            mid = lo + width
-            hi = lo + span
-            merged, merged_ids = _merge_walk(
-                values[lo:mid].tolist(), values[mid:hi].tolist(),
-                id_values[lo:mid].tolist() if id_values is not None else None,
-                id_values[mid:hi].tolist() if id_values is not None else None,
-            )
-            out[lo:hi] = merged
-            if out_ids is not None and merged_ids is not None:
-                out_ids[lo:hi] = merged_ids
-
-    if tail < n:
-        mid = min(tail + width, n)
-        merged, merged_ids = _merge_pair(
-            values[tail:mid], values[mid:n],
-            id_values[tail:mid] if id_values is not None else None,
-            id_values[mid:n] if id_values is not None else None,
-        )
-        out[tail:n] = merged
-        if out_ids is not None and merged_ids is not None:
-            out_ids[tail:n] = merged_ids
-
-    return out, out_ids
-
-
-def _merge_walk(
-    left: list[int],
-    right: list[int],
-    left_ids: "list[int] | None",
-    right_ids: "list[int] | None",
-) -> "tuple[list[int], list[int] | None]":
-    """The scalar two-pointer merge on already-read values.
-
-    Used by the numpy kernel when corruption has left a run unsorted;
-    identical logic to :meth:`Mergesort._merge_runs`' inner walk.
-    """
-    merged_keys: list[int] = []
-    merged_ids: list[int] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged_keys.append(left[i])
-            if left_ids is not None:
-                merged_ids.append(left_ids[i])
-            i += 1
-        else:
-            merged_keys.append(right[j])
-            if right_ids is not None:
-                merged_ids.append(right_ids[j])
-            j += 1
-    merged_keys.extend(left[i:])
-    merged_keys.extend(right[j:])
-    if left_ids is not None and right_ids is not None:
-        merged_ids.extend(left_ids[i:])
-        merged_ids.extend(right_ids[j:])
-    return merged_keys, merged_ids if left_ids is not None else None

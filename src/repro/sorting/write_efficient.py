@@ -25,7 +25,9 @@ memory arrays:
   level rewrites every element once, and there are only ``ceil(log_k n)``
   levels instead of ``ceil(log2 n)`` — the classic reads-for-writes
   trade: ``k``-way comparisons per output element buy a ``log2 k`` factor
-  fewer write passes.
+  fewer write passes.  The numpy path computes a whole level's
+  tournament outcome in one call of the shared merge kernel
+  (:mod:`repro.sorting.merge_kernels`), corrupted runs included.
 
 Both sorters expose the closed-form write bound via
 :meth:`~repro.sorting.base.BaseSorter.max_key_writes`, which the
@@ -55,7 +57,7 @@ from repro.memory.approx_array import InstrumentedArray
 from repro.obs import get_tracer
 
 from .base import BaseSorter
-from .mergesort import _run_is_sorted
+from .merge_kernels import level_order
 
 
 class WriteEfficientSampleSort(BaseSorter):
@@ -263,48 +265,25 @@ class WriteEfficientKWayMergesort(BaseSorter):
         """Vectorized level on the batch primitives.
 
         One ``read_block_np`` charges the same ``n`` reads the scalar
-        per-run blocks do (accounting is grouping-invariant).  A group
-        whose runs are all sorted merges as a stable argsort of the group
-        slice — identical to the tournament walk, since merging sorted
-        runs *is* the stable sort of their concatenation.  A group with a
-        corruption-unsorted run replays the scalar walk on the
-        already-read values.  Writes stay one ``write_block`` per group
-        in both paths, so approx corruption draws are bit-identical
-        across kernel modes.
+        per-run blocks do (accounting is grouping-invariant), and one call
+        of the merge kernel permutes every group of the level exactly as
+        the scalar tournament would, corrupted runs included.  Writes stay
+        one ``write_block`` per group in both paths, so approx corruption
+        draws are bit-identical across kernel modes.
         """
         values = src_keys.read_block_np(0, n)
         id_values = (
             src_ids.read_block_np(0, n) if src_ids is not None else None
         )
+        order = level_order(values, width, fan_in=self.k)
+        merged_keys = values[order]
+        merged_ids = id_values[order] if id_values is not None else None
         group = self.k * width
         for lo in range(0, n, group):
             hi = min(lo + group, n)
-            chunk = values[lo:hi]
-            clean = all(
-                _run_is_sorted(chunk[start : start + width])
-                for start in range(0, hi - lo, width)
-            )
-            if clean:
-                order = np.argsort(chunk, kind="stable")
-                merged_keys = chunk[order]
-                merged_ids = (
-                    id_values[lo:hi][order] if id_values is not None else None
-                )
-            else:
-                runs = [
-                    chunk[start : start + width].tolist()
-                    for start in range(0, hi - lo, width)
-                ]
-                run_ids = None
-                if id_values is not None:
-                    run_ids = [
-                        id_values[lo + start : lo + start + width].tolist()
-                        for start in range(0, hi - lo, width)
-                    ]
-                merged_keys, merged_ids = _kway_walk(runs, run_ids)
-            dst_keys.write_block(lo, merged_keys)
+            dst_keys.write_block(lo, merged_keys[lo:hi])
             if dst_ids is not None and merged_ids is not None:
-                dst_ids.write_block(lo, merged_ids)
+                dst_ids.write_block(lo, merged_ids[lo:hi])
 
     def passes(self, n: int) -> int:
         """Merge levels to sort ``n`` elements: ``ceil(log_k n)``."""

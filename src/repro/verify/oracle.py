@@ -751,8 +751,10 @@ def check_served_direct(case: OracleCase) -> list[Divergence]:
         server = SortServer(profiles=profiles, window_s=0.02)
         await server.start()
         try:
+            # Responses to large sorts outgrow asyncio's 64 KiB default
+            # line limit; accept any frame the server may send.
             reader, writer = await asyncio.open_connection(
-                server.host, server.port
+                server.host, server.port, limit=server.max_frame_bytes
             )
             for i, (tenant, keys, seed) in enumerate(requests):
                 writer.write(serve_protocol.encode_frame({

@@ -1,13 +1,23 @@
-"""Mergesort-specific tests: stability, pass structure, write counts."""
+"""Mergesort-specific tests: stability, pass structure, write counts,
+and the fused precise path against the level-by-level path."""
 
+import io
+import json
 import math
 
 import pytest
 
 from repro.memory.approx_array import PreciseArray
 from repro.memory.stats import MemoryStats
+from repro.obs import Tracer, set_tracer
 from repro.sorting.mergesort import Mergesort
+from repro.sorting.registry import make_base_sorter
+from repro.verify.sanitizer import sanitize
 from repro.workloads.generators import uniform_keys
+
+#: Lengths straddling the power-of-two boundaries the mergesort level
+#: count depends on.
+SHAPES = (2, 3, 17, 100, 1023, 1024, 1025)
 
 
 def run(keys, with_ids=False):
@@ -84,3 +94,109 @@ class TestMergesort:
                 total += rem_ratio(array.to_list())
             results[label] = total / 8
         assert results["merge"] > 3 * results["quick"]
+
+
+def run_path(keys: list[int], with_ids: bool, sort):
+    """Output and per-array stats of ``sort(keys_array, ids_array)``."""
+    stats = MemoryStats()
+    array = PreciseArray(keys, stats=stats)
+    ids = None
+    ids_stats = MemoryStats()
+    if with_ids:
+        ids = PreciseArray(list(range(len(keys))), stats=ids_stats)
+    sort(array, ids)
+    return (
+        array.peek_block_np(0, len(array)).tolist(),
+        ids.peek_block_np(0, len(ids)).tolist() if ids is not None else None,
+        stats.as_dict(),
+        ids_stats.as_dict(),
+    )
+
+
+def run_generic(name: str, keys: list[int], with_ids: bool):
+    """The level-by-level path, whatever the fusion gate says."""
+    base = make_base_sorter(name, kernels="numpy")
+    return run_path(keys, with_ids, base._sort_levels)
+
+
+def run_gated(name: str, keys: list[int], with_ids: bool, fused: bool):
+    """``sort`` after asserting which side of the fusion gate it takes."""
+    base = make_base_sorter(name, kernels="numpy")
+
+    def sort(array, ids):
+        assert base._fusable(array, ids) is fused
+        base.sort(array, ids)
+
+    return run_path(keys, with_ids, sort)
+
+
+def run_fused(name: str, keys: list[int], with_ids: bool):
+    return run_gated(name, keys, with_ids, fused=True)
+
+
+class TestFusedMatchesGeneric:
+    @pytest.mark.parametrize("name", ["mergesort"])
+    @pytest.mark.parametrize("n", SHAPES)
+    def test_keys_only(self, name, n):
+        keys = uniform_keys(n, seed=n)
+        assert run_fused(name, keys, False) == run_generic(name, keys, False)
+
+    @pytest.mark.parametrize("name", ["mergesort"])
+    def test_with_ids(self, name):
+        keys = uniform_keys(257, seed=3)
+        assert run_fused(name, keys, True) == run_generic(name, keys, True)
+
+    def test_duplicate_keys_stable(self):
+        keys = [5, 1, 5, 1, 5, 1, 2] * 40
+        assert run_fused("mergesort", keys, True) == run_generic(
+            "mergesort", keys, True
+        )
+
+
+class TestGating:
+    def test_fused_exists_for_mergesort(self):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        base = make_base_sorter("mergesort", kernels="numpy")
+        assert base._fusable(keys, None)
+
+    def test_scalar_mode_disables_fusion(self):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        base = make_base_sorter("mergesort", kernels="scalar")
+        assert not base._fusable(keys, None)
+
+    def test_approx_memory_disables_fusion(self, pcm_sweet):
+        stats = MemoryStats()
+        keys = pcm_sweet.make_array(uniform_keys(32, seed=0), stats=stats)
+        base = make_base_sorter("mergesort", kernels="numpy")
+        assert not base._fusable(keys, None)
+
+    def test_trace_hook_disables_fusion(self):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        keys.trace = lambda *args: None
+        base = make_base_sorter("mergesort", kernels="numpy")
+        assert not base._fusable(keys, None)
+
+    def test_wrapper_disables_fusion(self):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        ids = PreciseArray(list(range(32)))
+        base = make_base_sorter("mergesort", kernels="numpy")
+        assert not base._fusable(sanitize(keys), None)
+        assert not base._fusable(keys, sanitize(ids))
+
+    def test_enabled_tracer_disables_fusion(self):
+        keys = uniform_keys(100, seed=6)
+        sink = io.StringIO()
+        previous = set_tracer(Tracer(sink=sink))
+        try:
+            out = run_gated("mergesort", keys, True, fused=False)
+        finally:
+            set_tracer(previous)
+        spans = {
+            json.loads(line)["name"]
+            for line in sink.getvalue().splitlines()
+            if json.loads(line)["ev"] == "span_start"
+        }
+        # ceil(log2 100) = 7 levels, each with its own span.
+        assert {f"merge.level{i}" for i in range(7)} <= spans
+        assert out == run_generic("mergesort", keys, True)
+
