@@ -45,6 +45,60 @@ CACHE_DIR_ENV = "REPRO_MODEL_CACHE_DIR"
 #: Version tag of the on-disk cache format; bump to invalidate old entries.
 CACHE_VERSION = 1
 
+#: Blocks of at most this many words take the plain-Python sampler path of
+#: :class:`WordErrorModel`: below it numpy's fixed per-call overhead, not
+#: the per-word work, is the cost of a block write.  Set at the measured
+#: crossover on a 2-CPU x86-64 host (DESIGN.md section 8).
+SMALL_BLOCK_WORDS = 32
+
+
+def pairwise_sum(values: "list[float]") -> float:
+    """Sum ``values`` in the exact order of numpy's float64 ``add.reduce``.
+
+    numpy sums a contiguous float64 run of fewer than 8 terms sequentially
+    from ``0.0`` and a run of 8 to 128 terms with 8 interleaved
+    accumulators, folded pairwise, then adds the ragged tail in order.
+    Reproducing that order keeps the small-block path's ``units`` and
+    expected-error figures bit-identical to ``ndarray.sum()``; the builtin
+    ``sum`` does not (it compensates on Python 3.12+).  Valid for at most
+    128 terms — the small-block path stays far below that.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    i = 8
+    stop = n - n % 8
+    while i < stop:
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+        i += 8
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    while i < n:
+        total += values[i]
+        i += 1
+    return total
+
+
+def block_sum(values: "np.ndarray | list[float]") -> float:
+    """``values.sum()`` for a block figure from :class:`WordErrorModel`.
+
+    Small blocks come back from the sampler as plain lists; both forms sum
+    in numpy's order, so the result does not depend on the path.
+    """
+    if type(values) is list:
+        return pairwise_sum(values)
+    return float(values.sum())
+
 
 @dataclass(frozen=True)
 class CellCharacteristics:
@@ -324,6 +378,26 @@ class WordErrorModel:
         half = np.arange(65536)
         self._half_p_ok = self._byte_p_ok[half & 0xFF] * self._byte_p_ok[half >> 8]
         self._half_iters = self._byte_iters[half & 0xFF] + self._byte_iters[half >> 8]
+        # Plain-list copies of the halfword tables for the small-block
+        # path, built on first use and never pickled (see __getstate__).
+        self._half_lists: "tuple[list[float], list[float]] | None" = None
+
+    def __getstate__(self) -> dict:
+        # The list tables are derived from the half tables and would add
+        # over 1 MB to every pickled shard payload; workers rebuild them
+        # on first use.
+        state = self.__dict__.copy()
+        state["_half_lists"] = None
+        return state
+
+    def _small_tables(self) -> "tuple[list[float], list[float]]":
+        """``(half_iters, half_p_ok)`` as lists, for the small-block path."""
+        tables = self._half_lists
+        if tables is None:
+            tables = self._half_lists = (
+                self._half_iters.tolist(), self._half_p_ok.tolist()
+            )
+        return tables
 
     # ------------------------------------------------------------------ #
     # Aggregate statistics
@@ -471,14 +545,27 @@ class WordErrorModel:
 
     def block_cost_and_no_error(
         self, values: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
+    ) -> "tuple[np.ndarray | list[float], np.ndarray | list[float]]":
         """``(block_write_cost, block_no_error_probability)`` in one sweep.
 
         The block write path needs both; sharing the halfword index
         computation across the four 1-D table gathers (2-D row gathers
-        measure slower) shaves the common prefix.
+        measure slower) shaves the common prefix.  Blocks of at most
+        :data:`SMALL_BLOCK_WORDS` words are costed in plain Python and come
+        back as lists of the same float64 values; sum them with
+        :func:`block_sum` and hand ``p_ok`` on to :meth:`corrupt_block`.
         """
         vals = np.asarray(values, dtype=np.uint32)
+        if vals.size <= SMALL_BLOCK_WORDS:
+            iters, p_ok = self._small_tables()
+            costs = []
+            oks = []
+            for value in vals.tolist():
+                lo = value & 0xFFFF
+                hi = value >> 16
+                costs.append((iters[lo] + iters[hi]) / CELLS_PER_WORD)
+                oks.append(p_ok[lo] * p_ok[hi])
+            return costs, oks
         lo = vals & np.uint32(0xFFFF)
         hi = vals >> np.uint32(16)
         cost = (self._half_iters[lo] + self._half_iters[hi]) / CELLS_PER_WORD
@@ -503,20 +590,28 @@ class WordErrorModel:
         * **dense** — when the expected error fraction exceeds
           :data:`_DENSE_ERROR_CUTOFF`, resample every cell column
           vectorized (the pre-optimization behaviour).
+
+        Blocks of at most :data:`SMALL_BLOCK_WORDS` words run both regimes
+        in plain Python (:meth:`_corrupt_small_block`), bit-identically.
+        When the sparse regime finds no erring word the input array itself
+        is returned, not a copy, so ``result is values`` tells a caller that
+        nothing was corrupted.
         """
         vals = np.asarray(values, dtype=np.uint32)
         if vals.size == 0:
             return vals.copy()
+        if vals.size <= SMALL_BLOCK_WORDS:
+            return self._corrupt_small_block(vals, rng, p_ok)
         if p_ok is None:
             p_ok = self.block_no_error_probability(vals)
         expected_errors = vals.size - float(p_ok.sum())
         if expected_errors > vals.size * self._DENSE_ERROR_CUTOFF:
             return self._corrupt_block_dense(vals, rng)
-        out = vals.copy()
         u = rng.random(vals.shape)
         err_idx = np.nonzero(u >= p_ok)[0]
         if err_idx.size == 0:
-            return out
+            return vals
+        out = vals.copy()
         if err_idx.size <= 4:
             # Batch overhead beats the scalar loop only past a few words.
             for i in err_idx:
@@ -530,6 +625,73 @@ class WordErrorModel:
         u_resid = (u[err_idx] - p_ok[err_idx]) / (1.0 - p_ok[err_idx])
         out[err_idx] = self._corrupt_words_batch(vals[err_idx], u_resid, rng)
         return out
+
+    def _corrupt_small_block(
+        self,
+        vals: np.ndarray,
+        rng: np.random.Generator,
+        p_ok: "np.ndarray | list[float] | None",
+    ) -> np.ndarray:
+        """:meth:`corrupt_block` for at most :data:`SMALL_BLOCK_WORDS` words.
+
+        Same draws in the same order as the vectorized path — one
+        ``rng.random(m)`` slice, then the slow-path draws of each erring
+        word — and the same float64 arithmetic, with the expected-error sum
+        taken in numpy's order (:func:`pairwise_sum`), so the stored words
+        are bit-identical; only the per-call numpy overhead is gone.
+        """
+        m = vals.size
+        if p_ok is None:
+            p_ok = self.block_cost_and_no_error(vals)[1]
+        elif type(p_ok) is not list:
+            p_ok = p_ok.tolist()
+        if m - pairwise_sum(p_ok) > m * self._DENSE_ERROR_CUTOFF:
+            return self._corrupt_small_block_dense(vals, rng)
+        u = rng.random(m).tolist()
+        err = [i for i in range(m) if u[i] >= p_ok[i]]
+        if not err:
+            return vals
+        out = vals.copy()
+        resid = [(u[i] - p_ok[i]) / (1.0 - p_ok[i]) for i in err]
+        if len(err) <= 4:
+            words = vals.tolist()
+            for i, u_first in zip(err, resid):
+                out[i] = self._corrupt_word_slow(words[i], u_first, rng)
+            return out
+        out[err] = self._corrupt_words_batch(vals[err], np.array(resid), rng)
+        return out
+
+    def _corrupt_small_block_dense(
+        self, vals: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """:meth:`_corrupt_block_dense` in plain Python, for small blocks.
+
+        Per cell column: one ``rng.random(m)`` error draw, then one
+        ``rng.random(e)`` target draw when ``e > 0`` cells erred — the
+        vectorized column loop's draws, compared the same way.
+        """
+        m = vals.size
+        words = vals.tolist()
+        out = list(words)
+        p_err = self._p_err_list
+        bits_to_level = self._bits_to_level
+        level_to_bits = self._level_to_bits
+        cond_cdf = self._cond_cdf_list
+        top = self.params.levels - 1
+        for shift in range(0, 2 * CELLS_PER_WORD, 2):
+            levels = [bits_to_level[(w >> shift) & 3] for w in words]
+            u = rng.random(m).tolist()
+            err = [i for i in range(m) if u[i] < p_err[levels[i]]]
+            if not err:
+                continue
+            keep = ~(0b11 << shift)
+            for i, target in zip(err, rng.random(len(err)).tolist()):
+                new_level = 0
+                for c in cond_cdf[levels[i]]:
+                    new_level += target >= c
+                new_bits = level_to_bits[min(new_level, top)]
+                out[i] = (out[i] & keep) | (new_bits << shift)
+        return np.array(out, dtype=np.uint32)
 
     def _corrupt_words_batch(
         self, words: np.ndarray, u_first: np.ndarray, rng: np.random.Generator

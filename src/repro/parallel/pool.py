@@ -135,13 +135,25 @@ class WorkerPool:
         fills, the parent blocks in ``put``, every worker blocks putting a
         result the parent is not yet reading, and nobody moves.  Failures
         are collected (not raised mid-drain) so the queues are empty and the
-        pool reusable when the first failure finally raises.
+        pool reusable when the first failure finally raises.  A task that
+        cannot be sent (its payload does not pickle) never reaches a
+        worker; the feeder answers it in the workers' place (worker index
+        ``None``), so the drain still sees one result per call instead of
+        waiting forever.
         """
         import threading
 
         def feed() -> None:
             for task_id, (module_name, func_name, payload) in enumerate(calls):
-                self._tasks.put((task_id, module_name, func_name, payload))
+                try:
+                    self._tasks.put((task_id, module_name, func_name, payload))
+                except Exception as exc:
+                    # SimpleQueue.put pickles before it writes, so a payload
+                    # that fails to pickle leaves nothing in the task pipe.
+                    self._results.put(
+                        (task_id, False, f"{type(exc).__name__}: {exc}",
+                         None, 0.0)
+                    )
 
         feeder = threading.Thread(target=feed, name="repro-pool-feed",
                                   daemon=True)
@@ -154,27 +166,27 @@ class WorkerPool:
             task_id, ok, value, worker_index, elapsed_s = self._results.get()
             outstanding -= 1
             if metrics.enabled:
-                metrics.observe("pool.task_s", elapsed_s,
-                                worker=str(worker_index))
+                if worker_index is not None:
+                    metrics.observe("pool.task_s", elapsed_s,
+                                    worker=str(worker_index))
                 metrics.gauge("pool.queue_depth", outstanding)
                 metrics.inc("pool.tasks")
                 if not ok:
                     metrics.inc("pool.task_failures")
             if not ok and failure is None:
-                failure = (task_id, value)
+                failure = (task_id, value, worker_index)
             results[task_id] = value
         feeder.join()
         if failure is not None:
-            task_id, value = failure
-            get_flight().record(
-                "pool_task_failed_parent",
-                f"{calls[task_id][0]}.{calls[task_id][1]}", task=task_id,
-            )
+            task_id, value, worker_index = failure
+            task = f"{calls[task_id][0]}.{calls[task_id][1]}"
+            get_flight().record("pool_task_failed_parent", task, task=task_id)
             dump_flight(f"pool-run-task-{task_id}")
-            raise WorkerError(
-                f"shard task {calls[task_id][0]}.{calls[task_id][1]} "
-                f"failed in worker:\n{value}"
-            )
+            if worker_index is None:
+                raise WorkerError(
+                    f"shard task {task} could not be sent to a worker: {value}"
+                )
+            raise WorkerError(f"shard task {task} failed in worker:\n{value}")
         return results
 
     def shutdown(self) -> None:

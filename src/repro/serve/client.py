@@ -165,7 +165,11 @@ async def run_load(
     latencies: list[float] = []
 
     async def worker() -> None:
-        reader, writer = await asyncio.open_connection(host, port)
+        # asyncio's default 64 KiB line limit fails every sort response
+        # of more than a few thousand keys.
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=protocol.MAX_RESPONSE_BYTES
+        )
         try:
             while True:
                 index = counter["next"]

@@ -62,6 +62,12 @@ MAX_FRAME_BYTES = 4 * 1024 * 1024
 #: Default maximum keys per sort request (profiles may lower it).
 MAX_KEYS_PER_REQUEST = 262_144
 
+#: Line-buffer size a client needs to read any response frame.  A sort
+#: response echoes up to MAX_KEYS_PER_REQUEST keys (10 digits and a comma
+#: each) and as many ids (6 digits and a comma) in a small envelope, so
+#: it can outgrow MAX_FRAME_BYTES, which bounds requests only.
+MAX_RESPONSE_BYTES = MAX_KEYS_PER_REQUEST * (11 + 7) + 64 * 1024
+
 #: Request operations the server understands.
 OPS = ("sort", "ping", "profiles", "stats", "metrics", "shutdown")
 

@@ -17,8 +17,10 @@ import math
 import time
 from typing import Optional, Protocol
 
+import numpy as np
+
 from repro.kernels import resolve_kernels
-from repro.memory.approx_array import InstrumentedArray
+from repro.memory.approx_array import InstrumentedArray, PreciseArray
 from repro.obs import get_metrics, get_tracer
 
 
@@ -76,6 +78,49 @@ class BaseSorter:
         if ids is not None and (ids.trace is not None or not ids.kernel_safe):
             return False
         return True
+
+    def _fusable(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> bool:
+        """Whether a whole sort may collapse to one stable argsort.
+
+        The gate every fused precise path shares (mergesort, ``msd*``,
+        ``hmsd*``).  Requires the numpy kernels (no trace hook, no
+        order-sensitive operand), bare :class:`PreciseArray` operands —
+        approximate memory must draw its corruption pass by pass, and the
+        strict type check excludes wrappers such as sanitizer shadows — and
+        a disabled tracer, so a traced run still shows its per-level spans
+        and counters.
+        """
+        return (
+            self._use_numpy_kernels(keys, ids)
+            and type(keys) is PreciseArray
+            and (ids is None or type(ids) is PreciseArray)
+            and not get_tracer().enabled
+        )
+
+    @staticmethod
+    def _commit_fused(
+        keys: PreciseArray,
+        ids: Optional[PreciseArray],
+        ordered: np.ndarray,
+        order: np.ndarray,
+        touches: int,
+    ) -> None:
+        """Store a fused sort's result and charge its closed-form traffic.
+
+        ``ordered`` is ``keys`` permuted by ``order``; ``ids`` follows the
+        same permutation.  Each array is charged ``touches`` reads and as
+        many writes — the counts its unfused path would have accounted —
+        while the stores themselves stay unaccounted.
+        """
+        keys.stats.record_precise_read(touches)
+        keys.stats.record_precise_write(touches)
+        keys.poke_block_np(0, ordered)
+        if ids is not None:
+            ids.stats.record_precise_read(touches)
+            ids.stats.record_precise_write(touches)
+            ids.poke_block_np(0, ids.peek_block_np(0, len(ids))[order])
 
     def sort(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray] = None

@@ -49,26 +49,9 @@ class Mergesort(BaseSorter):
         else:
             self._sort_levels(keys, ids)
 
-    def _fusable(
-        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
-    ) -> bool:
-        """Whether the whole sort may collapse to one stable argsort.
-
-        Requires the numpy kernels (no trace hook, no order-sensitive
-        operand), bare :class:`PreciseArray` operands — approximate memory
-        must draw its corruption level by level, and the strict type check
-        excludes wrappers such as sanitizer shadows — and a disabled tracer,
-        so a traced run still shows its ``merge.level*`` spans.
-        """
-        return (
-            self._use_numpy_kernels(keys, ids)
-            and type(keys) is PreciseArray
-            and (ids is None or type(ids) is PreciseArray)
-            and not get_tracer().enabled
-        )
-
-    @staticmethod
-    def _sort_fused(keys: PreciseArray, ids: Optional[PreciseArray]) -> None:
+    def _sort_fused(
+        self, keys: PreciseArray, ids: Optional[PreciseArray]
+    ) -> None:
         """Bottom-up mergesort on precise memory, fused.
 
         A stable bottom-up mergesort's output is the unique stable
@@ -82,13 +65,7 @@ class Mergesort(BaseSorter):
         order = np.argsort(values, kind="stable")
         levels = math.ceil(math.log2(n))
         touches = (levels + (levels % 2)) * n  # per array: reads == writes
-        keys.stats.record_precise_read(touches)
-        keys.stats.record_precise_write(touches)
-        keys.poke_block_np(0, values[order])
-        if ids is not None:
-            ids.stats.record_precise_read(touches)
-            ids.stats.record_precise_write(touches)
-            ids.poke_block_np(0, ids.peek_block_np(0, n)[order])
+        self._commit_fused(keys, ids, values[order], order, touches)
 
     def _sort_levels(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]

@@ -23,11 +23,12 @@ degrades smoothly.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.memory.approx_array import InstrumentedArray
+from repro.memory.approx_array import InstrumentedArray, PreciseArray
 from repro.obs import get_tracer
 
 from .base import BaseSorter
@@ -202,7 +203,128 @@ class LSDRadixSort(BaseSorter):
         return 0.0 if n < 2 else self.expected_key_writes(n)
 
 
-class MSDRadixSort(BaseSorter):
+def _child_segments(
+    sizes: list[int], lo: int, depth: int
+) -> list[tuple[int, int, int]]:
+    """``(start, end, depth)`` of every bucket of two or more elements.
+
+    ``sizes`` are a partition's bucket sizes in digit order, starting at
+    ``lo``; the children come back in digit order too, so pushing them on
+    the walk's stack pops (and corrupts) them in the same order as ever.
+    The sizes arrive as Python ints: for 8 to 64 buckets a plain loop over
+    them beats both a numpy cumsum/nonzero pass (5-9 us per call on a
+    2-CPU host) and a loop over numpy scalars.
+    """
+    children = []
+    start = lo
+    for size in sizes:
+        if size > 1:
+            children.append((start, start + size, depth))
+        start += size
+    return children
+
+
+class _MSDWalkSorter(BaseSorter):
+    """Depth-first segment walk shared by the MSD radix sorts.
+
+    Subclasses supply the per-segment partition (:meth:`_partitioner`) and
+    its traffic (:attr:`_touches`); the walk, the per-depth trace rollup
+    and the fused precise path are common.
+    """
+
+    #: Registry-name prefix; the digit width is appended.
+    family = "msd"
+
+    #: Reads — and writes — one partition charges per element per array.
+    _touches = 2
+
+    def __init__(self, bits: int = 6, kernels: Optional[str] = None) -> None:
+        super().__init__(kernels)
+        self.bits = bits
+        self._plan = msd_digit_plan(bits)
+        self.name = f"{self.family}{bits}"
+
+    def _sort(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> None:
+        if self._fusable(keys, ids):
+            self._sort_fused(keys, ids)
+        else:
+            self._sort_levels(keys, ids)
+
+    def _partitioner(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> Callable[[int, int, int, int], list[int]]:
+        """``partition(lo, hi, shift, mask)`` for one sort of (keys, ids).
+
+        The callable distributes ``keys[lo:hi]`` by one digit and returns
+        the bucket sizes in digit order.
+        """
+        raise NotImplementedError
+
+    def _sort_levels(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> None:
+        """The segment-by-segment walk, one partition per segment."""
+        partition = self._partitioner(keys, ids)
+        tracer = get_tracer()
+        # Per-depth rollup (segments partitioned, elements moved) emitted as
+        # counters after the walk; only accumulated when tracing is on.
+        by_depth: dict[int, list[int]] = {}
+        last = len(self._plan) - 1
+        # Explicit work stack instead of recursion: segments can be numerous
+        # (64-way fan-out) and Python's recursion limit is easy to trip.
+        stack = [(0, len(keys), 0)]
+        while stack:
+            lo, hi, depth = stack.pop()
+            if hi - lo <= 1:
+                continue
+            if tracer.enabled:
+                rollup = by_depth.setdefault(depth, [0, 0])
+                rollup[0] += 1
+                rollup[1] += hi - lo
+            shift, mask = self._plan[depth]
+            sizes = partition(lo, hi, shift, mask)
+            if depth < last:
+                stack.extend(_child_segments(sizes, lo, depth + 1))
+        for depth in sorted(by_depth):
+            segments, elements = by_depth[depth]
+            depth_attrs = {"algo": self.name, "depth": depth}
+            tracer.counter("msd.depth.segments", segments, attrs=depth_attrs)
+            tracer.counter("msd.depth.elements", elements, attrs=depth_attrs)
+
+    def _sort_fused(
+        self, keys: PreciseArray, ids: Optional[PreciseArray]
+    ) -> None:
+        """The walk on precise memory, fused.
+
+        Every partition is stable and the walk consumes the whole key, so
+        the output is the stable ascending order: one stable argsort.  The
+        traffic is closed-form.  A segment at depth ``d >= 1`` is a group
+        of two or more keys sharing the digits above depth ``d``, and every
+        element of a partitioned segment is moved once, so depth ``d``
+        charges the elements in such groups (depth 0: all ``n``).
+        """
+        n = len(keys)
+        values = keys.peek_block_np(0, n)
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        charged = n
+        grouped = np.empty(n, dtype=bool)
+        for shift, _ in self._plan[:-1]:
+            prefix = ordered >> np.uint32(shift)
+            same = prefix[1:] == prefix[:-1]
+            grouped[0] = False
+            grouped[1:] = same
+            grouped[:-1] |= same
+            count = int(np.count_nonzero(grouped))
+            if not count:
+                break
+            charged += count
+        self._commit_fused(keys, ids, ordered, order, self._touches * charged)
+
+
+class MSDRadixSort(_MSDWalkSorter):
     """Most-significant-digit radix sort with queue buckets.
 
     Recursion proceeds bucket by bucket; a segment stops recursing when it
@@ -211,15 +333,9 @@ class MSDRadixSort(BaseSorter):
     bucket (paper Section 3.5).
     """
 
-    def __init__(self, bits: int = 6, kernels: Optional[str] = None) -> None:
-        super().__init__(kernels)
-        self.bits = bits
-        self._plan = msd_digit_plan(bits)
-        self.name = f"msd{bits}"
-
-    def _sort(
+    def _partitioner(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
-    ) -> None:
+    ) -> Callable[[int, int, int, int], list[int]]:
         bucket_keys = keys.clone_empty(name=f"{keys.name}.buckets")
         bucket_ids = (
             ids.clone_empty(name=f"{ids.name}.buckets") if ids is not None else None
@@ -229,33 +345,7 @@ class MSDRadixSort(BaseSorter):
             if self._use_numpy_kernels(keys, ids)
             else self._partition_segment
         )
-        tracer = get_tracer()
-        # Per-depth rollup (segments partitioned, elements moved) emitted as
-        # counters after the walk; only accumulated when tracing is on.
-        by_depth: dict[int, list[int]] = {}
-        # Explicit work stack instead of recursion: segments can be numerous
-        # (64-way fan-out) and Python's recursion limit is easy to trip.
-        stack = [(0, len(keys), 0)]
-        while stack:
-            lo, hi, depth = stack.pop()
-            if hi - lo <= 1 or depth >= len(self._plan):
-                continue
-            if tracer.enabled:
-                rollup = by_depth.setdefault(depth, [0, 0])
-                rollup[0] += 1
-                rollup[1] += hi - lo
-            shift, mask = self._plan[depth]
-            sub_bounds = partition(
-                keys, ids, bucket_keys, bucket_ids, lo, hi, shift, mask
-            )
-            for sub_lo, sub_hi in sub_bounds:
-                if sub_hi - sub_lo > 1:
-                    stack.append((sub_lo, sub_hi, depth + 1))
-        for depth in sorted(by_depth):
-            segments, elements = by_depth[depth]
-            depth_attrs = {"algo": self.name, "depth": depth}
-            tracer.counter("msd.depth.segments", segments, attrs=depth_attrs)
-            tracer.counter("msd.depth.elements", elements, attrs=depth_attrs)
+        return partial(partition, keys, ids, bucket_keys, bucket_ids)
 
     @staticmethod
     def _partition_segment(
@@ -267,11 +357,10 @@ class MSDRadixSort(BaseSorter):
         hi: int,
         shift: int,
         mask: int,
-    ) -> list[tuple[int, int]]:
+    ) -> list[int]:
         """One queue-distribution pass over ``keys[lo:hi]``.
 
-        Returns the sub-segment boundaries of the non-empty buckets, in
-        digit order.
+        Returns the bucket sizes in digit order.
         """
         count = hi - lo
         values = keys.read_block(lo, count)
@@ -297,13 +386,7 @@ class MSDRadixSort(BaseSorter):
         if ids is not None and bucket_ids is not None:
             ids.write_block(lo, bucket_ids.read_block(lo, count))
 
-        bounds = []
-        offset = lo
-        for queue in key_queues:
-            if queue:
-                bounds.append((offset, offset + len(queue)))
-                offset += len(queue)
-        return bounds
+        return [len(queue) for queue in key_queues]
 
     @staticmethod
     def _partition_segment_np(
@@ -315,12 +398,12 @@ class MSDRadixSort(BaseSorter):
         hi: int,
         shift: int,
         mask: int,
-    ) -> list[tuple[int, int]]:
+    ) -> list[int]:
         """Vectorized queue-distribution pass over ``keys[lo:hi]``.
 
         Stable argsort by digit reproduces the scalar queue concatenation
-        bit for bit; ``np.bincount`` gives the bucket sizes the boundary
-        list is built from.  Accounted traffic matches the scalar pass.
+        bit for bit; ``np.bincount`` gives the bucket sizes.  Accounted
+        traffic matches the scalar pass.
         """
         count = hi - lo
         values = keys.read_block_np(lo, count)
@@ -328,7 +411,7 @@ class MSDRadixSort(BaseSorter):
 
         digits = _digits_np(values, shift, mask)
         order = np.argsort(digits, kind="stable")
-        sizes = np.bincount(digits, minlength=mask + 1)
+        sizes = np.bincount(digits, minlength=mask + 1).tolist()
 
         bucket_keys.write_block(lo, values[order])
         if bucket_ids is not None and id_values is not None:
@@ -338,13 +421,7 @@ class MSDRadixSort(BaseSorter):
         if ids is not None and bucket_ids is not None:
             ids.write_block(lo, bucket_ids.read_block_np(lo, count))
 
-        bounds = []
-        offset = lo
-        for size in sizes:
-            if size:
-                bounds.append((offset, offset + int(size)))
-                offset += int(size)
-        return bounds
+        return sizes
 
     def expected_key_writes(self, n: int) -> float:
         """alpha_MSD(n): two writes per element per *touched* level.

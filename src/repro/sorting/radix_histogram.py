@@ -18,14 +18,15 @@ toggled) and are not modeled.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.memory.approx_array import InstrumentedArray
 
 from .base import BaseSorter
-from .radix import _digits_np, lsd_digit_plan, msd_digit_plan
+from .radix import _MSDWalkSorter, _digits_np, lsd_digit_plan
 
 
 class HistogramLSDRadixSort(BaseSorter):
@@ -129,33 +130,21 @@ class HistogramLSDRadixSort(BaseSorter):
         return float(passes) * n
 
 
-class HistogramMSDRadixSort(BaseSorter):
+class HistogramMSDRadixSort(_MSDWalkSorter):
     """Counting-based MSD radix sort: one key write per element per level."""
 
-    def __init__(self, bits: int = 6, kernels: Optional[str] = None) -> None:
-        super().__init__(kernels)
-        self.bits = bits
-        self._plan = msd_digit_plan(bits)
-        self.name = f"hmsd{bits}"
+    family = "hmsd"
+    _touches = 1
 
-    def _sort(
+    def _partitioner(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
-    ) -> None:
+    ) -> Callable[[int, int, int, int], list[int]]:
         permute = (
             self._permute_segment_np
             if self._use_numpy_kernels(keys, ids)
             else self._permute_segment
         )
-        stack = [(0, len(keys), 0)]
-        while stack:
-            lo, hi, depth = stack.pop()
-            if hi - lo <= 1 or depth >= len(self._plan):
-                continue
-            shift, mask = self._plan[depth]
-            sub_bounds = permute(keys, ids, lo, hi, shift, mask)
-            for sub_lo, sub_hi in sub_bounds:
-                if sub_hi - sub_lo > 1:
-                    stack.append((sub_lo, sub_hi, depth + 1))
+        return partial(permute, keys, ids)
 
     @staticmethod
     def _permute_segment(
@@ -165,12 +154,12 @@ class HistogramMSDRadixSort(BaseSorter):
         hi: int,
         shift: int,
         mask: int,
-    ) -> list[tuple[int, int]]:
+    ) -> list[int]:
         """Histogram + single permute write of ``keys[lo:hi]``.
 
         The permuted segment is written straight back (destination offsets
         are known from the counts — no bucket region, no second copy).
-        Returns the non-empty sub-segment boundaries in digit order.
+        Returns the bucket sizes in digit order.
         """
         count = hi - lo
         values = keys.read_block(lo, count)
@@ -198,13 +187,7 @@ class HistogramMSDRadixSort(BaseSorter):
         if ids is not None and out_ids is not None:
             ids.write_block(lo, out_ids)
 
-        bounds = []
-        offset = lo
-        for c in counts:
-            if c:
-                bounds.append((offset, offset + c))
-                offset += c
-        return bounds
+        return counts
 
     @staticmethod
     def _permute_segment_np(
@@ -214,7 +197,7 @@ class HistogramMSDRadixSort(BaseSorter):
         hi: int,
         shift: int,
         mask: int,
-    ) -> list[tuple[int, int]]:
+    ) -> list[int]:
         """Vectorized histogram + permute of ``keys[lo:hi]``."""
         count = hi - lo
         values = keys.read_block_np(lo, count)
@@ -222,19 +205,13 @@ class HistogramMSDRadixSort(BaseSorter):
 
         digits = _digits_np(values, shift, mask)
         order = np.argsort(digits, kind="stable")
-        sizes = np.bincount(digits, minlength=mask + 1)
+        sizes = np.bincount(digits, minlength=mask + 1).tolist()
 
         keys.write_block(lo, values[order])
         if ids is not None and id_values is not None:
             ids.write_block(lo, id_values[order])
 
-        bounds = []
-        offset = lo
-        for size in sizes:
-            if size:
-                bounds.append((offset, offset + int(size)))
-                offset += int(size)
-        return bounds
+        return sizes
 
     def expected_key_writes(self, n: int) -> float:
         """alpha_hMSD(n): one write per element per touched level."""

@@ -1,5 +1,6 @@
 """Tests for the compiled per-T word error model."""
 
+import pickle
 import random
 
 import numpy as np
@@ -171,6 +172,27 @@ class TestCorruption:
             if precise_model.corrupt_word(value, rng) != value:
                 count += 1
         assert count <= 25
+
+
+class TestPickling:
+    def test_round_trip_after_small_block_writes(self, sweet_model):
+        """Shard workers receive the model by pickle.  The small-block
+        path's list tables are derived state: they must not travel, and the
+        unpickled model must rebuild them and sample identically."""
+        values = np.asarray([0x12345678, 0xFFFF0000, 7], dtype=np.uint32)
+        sweet_model.block_cost_and_no_error(values)  # builds the lists
+        assert sweet_model._half_lists is not None
+        clone = pickle.loads(pickle.dumps(sweet_model))
+        assert clone._half_lists is None
+        assert len(pickle.dumps(sweet_model)) < 2_000_000
+        assert clone.block_cost_and_no_error(values) == (
+            sweet_model.block_cost_and_no_error(values)
+        )
+        for seed in range(50):
+            assert np.array_equal(
+                clone.corrupt_block(values, np.random.default_rng(seed)),
+                sweet_model.corrupt_block(values, np.random.default_rng(seed)),
+            )
 
 
 class TestModelCache:

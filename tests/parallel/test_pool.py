@@ -1,5 +1,8 @@
 """Worker-pool tests: ordering, error propagation, lifecycle."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.parallel.pool import (
@@ -26,6 +29,22 @@ def fail(payload):
     raise RuntimeError(f"intentional failure on {payload!r}")
 
 
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail a hung pool call instead of hanging the suite (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"pool call still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestWorkerPool:
     def test_results_in_submission_order(self):
         pool = WorkerPool(2)
@@ -42,6 +61,23 @@ class TestWorkerPool:
                 pool.run([(_HERE, "fail", "boom")])
             # The pool survives a poisoned payload and keeps serving.
             assert pool.run([(_HERE, "double", 21)]) == [42]
+        finally:
+            pool.shutdown()
+
+    def test_unpicklable_payload_raises_and_pool_survives(self):
+        pool = WorkerPool(2)
+        try:
+            with deadline(30):
+                with pytest.raises(WorkerError, match="(?i)pickl"):
+                    pool.run([("json", "dumps", lambda: 0)])
+                # Calls around the bad one still run; the pool keeps serving.
+                with pytest.raises(WorkerError, match="could not be sent"):
+                    pool.run([
+                        (_HERE, "double", 1),
+                        (_HERE, "double", lambda: 0),
+                        (_HERE, "double", 3),
+                    ])
+                assert pool.run([(_HERE, "double", 21)]) == [42]
         finally:
             pool.shutdown()
 

@@ -1,5 +1,6 @@
 """Mergesort-specific tests: stability, pass structure, write counts,
-and the fused precise path against the level-by-level path."""
+and the fused precise paths (mergesort, ``msd*``, ``hmsd*``) against
+their unfused level-by-level paths."""
 
 import io
 import json
@@ -18,6 +19,10 @@ from repro.workloads.generators import uniform_keys
 #: Lengths straddling the power-of-two boundaries the mergesort level
 #: count depends on.
 SHAPES = (2, 3, 17, 100, 1023, 1024, 1025)
+
+#: MSD sorters sharing the fusion gate: queue and histogram walks at the
+#: narrowest and widest digit.
+MSD_SORTERS = ("msd3", "msd6", "hmsd3", "hmsd6")
 
 
 def run(keys, with_ids=False):
@@ -114,7 +119,8 @@ def run_path(keys: list[int], with_ids: bool, sort):
 
 
 def run_generic(name: str, keys: list[int], with_ids: bool):
-    """The level-by-level path, whatever the fusion gate says."""
+    """The level-by-level path (MSD: the segment walk), whatever the
+    fusion gate says."""
     base = make_base_sorter(name, kernels="numpy")
     return run_path(keys, with_ids, base._sort_levels)
 
@@ -135,15 +141,28 @@ def run_fused(name: str, keys: list[int], with_ids: bool):
 
 
 class TestFusedMatchesGeneric:
-    @pytest.mark.parametrize("name", ["mergesort"])
+    @pytest.mark.parametrize("name", ["mergesort", *MSD_SORTERS])
     @pytest.mark.parametrize("n", SHAPES)
     def test_keys_only(self, name, n):
         keys = uniform_keys(n, seed=n)
         assert run_fused(name, keys, False) == run_generic(name, keys, False)
 
-    @pytest.mark.parametrize("name", ["mergesort"])
+    @pytest.mark.parametrize("name", ["mergesort", *MSD_SORTERS])
     def test_with_ids(self, name):
         keys = uniform_keys(257, seed=3)
+        assert run_fused(name, keys, True) == run_generic(name, keys, True)
+
+    @pytest.mark.parametrize("name", MSD_SORTERS)
+    @pytest.mark.parametrize("shape", ["narrow", "clustered", "duplicates"])
+    def test_msd_deep_segments(self, name, shape):
+        """Keys that keep segments of two or more alive down to the last
+        digit, where the closed-form traffic has the most depths to sum."""
+        base = uniform_keys(3000, seed=11)
+        keys = {
+            "narrow": [k & 0x3FF for k in base],
+            "clustered": [(k & 0xFFFF0000) >> 8 | (k & 0x7) for k in base],
+            "duplicates": [base[i % 40] for i in range(3000)],
+        }[shape]
         assert run_fused(name, keys, True) == run_generic(name, keys, True)
 
     def test_duplicate_keys_stable(self):
@@ -200,3 +219,61 @@ class TestGating:
         assert {f"merge.level{i}" for i in range(7)} <= spans
         assert out == run_generic("mergesort", keys, True)
 
+
+@pytest.mark.parametrize("name", ["msd4", "hmsd4"])
+class TestMSDGating:
+    """The MSD sorters use the mergesort gate: every condition that keeps
+    mergesort on its level path keeps them on the segment walk."""
+
+    def test_fused_on_bare_precise_memory(self, name):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        assert make_base_sorter(name, kernels="numpy")._fusable(keys, None)
+
+    def test_scalar_mode_disables_fusion(self, name):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        base = make_base_sorter(name, kernels="scalar")
+        assert not base._fusable(keys, None)
+
+    def test_approx_memory_disables_fusion(self, name, pcm_sweet):
+        keys = pcm_sweet.make_array(uniform_keys(32, seed=0))
+        base = make_base_sorter(name, kernels="numpy")
+        assert not base._fusable(keys, None)
+
+    def test_trace_hook_disables_fusion(self, name):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        keys.trace = lambda *args: None
+        base = make_base_sorter(name, kernels="numpy")
+        assert not base._fusable(keys, None)
+
+    def test_wrapper_disables_fusion(self, name):
+        keys = PreciseArray(uniform_keys(32, seed=0))
+        ids = PreciseArray(list(range(32)))
+        base = make_base_sorter(name, kernels="numpy")
+        assert not base._fusable(sanitize(keys), None)
+        assert not base._fusable(keys, sanitize(ids))
+
+    def test_enabled_tracer_keeps_depth_counters(self, name):
+        keys = uniform_keys(2000, seed=6)
+        sink = io.StringIO()
+        previous = set_tracer(Tracer(sink=sink))
+        try:
+            out = run_gated(name, keys, True, fused=False)
+        finally:
+            set_tracer(previous)
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        elements = {
+            e["attrs"]["depth"]: e["value"]
+            for e in events
+            if e["ev"] == "counter" and e["name"] == "msd.depth.elements"
+        }
+        segments = [
+            e for e in events
+            if e["ev"] == "counter" and e["name"] == "msd.depth.segments"
+        ]
+        assert elements[0] == len(keys)
+        assert len(segments) == len(elements) >= 2
+        # Each depth moves every element once per array per partition
+        # round trip: the counters account for all of the walk's traffic.
+        touches = 2 if name.startswith("msd") else 1
+        assert sum(elements.values()) * touches == out[2]["precise_writes"]
+        assert out == run_generic(name, keys, True)
