@@ -26,10 +26,11 @@ Durability contract
 Resume semantics
 ----------------
 ``runner --resume <run-id>`` loads the manifest, checks that the current
-selection/scale/seed/kernels match the recorded configuration (mismatches
-raise :class:`repro.errors.ConfigError` — a resumed run must be able to
-produce bit-identical tables to an uninterrupted one), restores every
-completed result, and re-runs only the remainder.  Completed cells of a
+selection/scale/seed/kernels/shard count match the recorded
+configuration (mismatches raise :class:`repro.errors.ConfigError` — a
+resumed run must be able to produce bit-identical tables to an
+uninterrupted one), restores every completed result, and re-runs only
+the remainder.  Completed cells of a
 cell-parallel experiment are restored by :class:`CellJournal`, so even a
 partially finished ``fig09`` re-fans only its missing cells.
 """
@@ -59,7 +60,11 @@ DEFAULT_RUNS_ROOT = ".repro_runs"
 
 #: Configuration keys that must match between a run and its resume for the
 #: resumed tables to be bit-identical to an uninterrupted run.
-CONFIG_KEYS = ("experiments", "scale", "seed", "kernels")
+CONFIG_KEYS = ("experiments", "scale", "seed", "kernels", "shards")
+
+#: The value a configuration without the key ran with (manifests written
+#: before the shard count was recorded ran unsharded).
+_IMPLIED = {"shards": 1}
 
 _TABLE_FIELDS = (
     "experiment", "title", "columns", "rows", "notes", "paper_reference",
@@ -266,18 +271,21 @@ class RunCheckpoint:
     def check_config(self, config: dict) -> None:
         """Reject a resume whose configuration differs from the recorded run.
 
-        Scale, seed, kernel mode and the experiment selection all feed the
-        measured numbers; silently mixing them would produce tables that are
-        *not* bit-identical to an uninterrupted run.
+        Scale, seed, kernel mode, shard count and the experiment selection
+        all feed the measured numbers; silently mixing them would produce
+        tables that are *not* bit-identical to an uninterrupted run.
         """
+        recorded, requested = (
+            {key: given.get(key, _IMPLIED.get(key)) for key in CONFIG_KEYS}
+            for given in (self.config, config)
+        )
         mismatched = [
-            key for key in CONFIG_KEYS
-            if config.get(key) != self.config.get(key)
+            key for key in CONFIG_KEYS if requested[key] != recorded[key]
         ]
         if mismatched:
             detail = "; ".join(
-                f"{key}: recorded {self.config.get(key)!r}, requested"
-                f" {config.get(key)!r}"
+                f"{key}: recorded {recorded[key]!r}, requested"
+                f" {requested[key]!r}"
                 for key in mismatched
             )
             raise ConfigError(

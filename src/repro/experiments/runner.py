@@ -116,7 +116,7 @@ from repro.obs.metrics import (
     read_snapshots,
     snapshot_to_prometheus,
 )
-from repro.sorting.registry import SHARDS_ENV
+from repro.sorting.registry import SHARDS_ENV, env_shards
 from repro.verify import SANITIZE_ENV
 
 from .checkpoint import RunCheckpoint
@@ -903,6 +903,8 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "scale": resolve_scale(args.scale),
             "seed": seed,
             "kernels": resolve_kernels(args.kernels),
+            # Sharding changes which writes err (DESIGN.md section 12).
+            "shards": env_shards(),
         }
         if args.resume is not None:
             checkpoint.check_config(config)

@@ -248,6 +248,15 @@ class InstrumentedArray:
         vals = _as_words(values)
         self._data[start : start + vals.size] = vals
 
+    def poke_scatter_np(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Unaccounted store of ``values[k]`` to distinct ``indices[k]``.
+
+        The scatter counterpart of :meth:`poke_block_np`, under the same
+        rule: only for kernels that charge their traffic analytically
+        (the planned MSD walk, :mod:`repro.sorting.msd_walk`).
+        """
+        self._data[np.asarray(indices, dtype=np.int64)] = _as_words(values)
+
     def _trace_block(self, op: str, start: int, count: int) -> None:
         """Emit one trace event per element of a block access."""
         trace = self.trace
@@ -488,6 +497,27 @@ class ApproxArray(InstrumentedArray):
         )
         self.stats.record_approx_write_block(vals.size, units, corrupted)
         return stored
+
+    def peek_block_uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of the block stream, left unconsumed.
+
+        A sparse-regime block write of ``m`` words draws exactly
+        ``rng.random(m)`` and nothing more when no word errs, and PCG64's
+        ``random(a)`` then ``random(b)`` equals ``random(a + b)``, so these
+        are the uniforms the next clean block writes of ``count`` words in
+        all would draw.  The planned MSD walk checks its writes against
+        them before committing (DESIGN.md section 8).
+        """
+        bit_generator = self._np_rng.bit_generator
+        state = bit_generator.state
+        uniforms = self._np_rng.random(count)
+        bit_generator.state = state
+        return uniforms
+
+    def advance_block_stream(self, count: int) -> None:
+        """Consume ``count`` block-stream uniforms, as clean writes of
+        ``count`` words in all would."""
+        self._np_rng.bit_generator.advance(count)
 
     def load_from(self, source: InstrumentedArray) -> None:
         """Approx-preparation copy: read ``source``, write every element here.

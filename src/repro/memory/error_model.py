@@ -100,6 +100,52 @@ def block_sum(values: "np.ndarray | list[float]") -> float:
     return float(values.sum())
 
 
+def block_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """:func:`block_sum` of every block of a concatenation, vectorized.
+
+    Block ``k`` is ``values[offsets[k]:offsets[k + 1]]``; blocks must be
+    non-empty.  A block of more than :data:`SMALL_BLOCK_WORDS` words is
+    summed by ``ndarray.sum`` on its own, as the vectorized sampler path
+    does.  Smaller ones are summed together in :func:`pairwise_sum`'s
+    order: each is laid out in a zero-padded column of 32 accumulator
+    slots (its whole groups of eight) and 7 tail slots (the rest), so
+    every term meets the same partial sums it would in its own sum, and
+    the padding adds only ``0.0``.  ``np.add.accumulate`` adds strictly
+    in sequence along its axis.
+    """
+    sizes = np.diff(offsets)
+    sums = np.empty(sizes.size)
+    small = sizes <= SMALL_BLOCK_WORDS
+    for index in np.flatnonzero(~small).tolist():
+        sums[index] = values[offsets[index] : offsets[index + 1]].sum()
+    rows = np.flatnonzero(small)
+    if not rows.size:
+        return sums
+    lengths = sizes[rows]
+    row = np.repeat(np.arange(rows.size), lengths)
+    first = np.repeat(offsets[rows], lengths)
+    within = np.arange(row.size) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    body = np.repeat(lengths & ~7, lengths)
+    # One row per slot, one column per block.  Slot ``fold`` receives the
+    # folded accumulators and the tail follows it.
+    fold = SMALL_BLOCK_WORDS
+    padded = np.zeros((fold + 8, rows.size))
+    padded[np.where(within < body, within, within - body + fold + 1), row] = (
+        values[first + within]
+    )
+    # The eight accumulators sum their slot of each group of eight ...
+    acc = padded[:8].copy()
+    for group in range(8, fold, 8):
+        acc += padded[group : group + 8]
+    # ... and fold pairwise; then the tail is added one term at a time.
+    pairs = acc[0::2] + acc[1::2]
+    padded[fold] = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    sums[rows] = np.add.accumulate(padded[fold:], axis=0)[-1]
+    return sums
+
+
 @dataclass(frozen=True)
 class CellCharacteristics:
     """Raw per-level statistics measured from the analog model.

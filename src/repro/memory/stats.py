@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import PRECISE_WRITE_LATENCY_NS, READ_LATENCY_NS
 
 
@@ -68,6 +70,21 @@ class MemoryStats:
         self.approx_writes += count
         self.approx_write_units += units
         self.corrupted_writes += corrupted
+
+    def record_approx_write_blocks(self, count: int, units: np.ndarray) -> None:
+        """Record clean block writes, ``count`` words in all.
+
+        ``units`` holds each block's cost in write order; they are added
+        one at a time (``np.add.accumulate`` is sequential), so the total
+        is bit-identical to one :meth:`record_approx_write_block` call per
+        block.
+        """
+        self.approx_writes += count
+        if units.size:
+            running = np.empty(units.size + 1)
+            running[0] = self.approx_write_units
+            running[1:] = units
+            self.approx_write_units = float(np.add.accumulate(running)[-1])
 
     # ------------------------------------------------------------------ #
     # Derived metrics

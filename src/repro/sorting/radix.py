@@ -28,10 +28,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.memory.approx_array import InstrumentedArray, PreciseArray
+from repro.memory.approx_array import ApproxArray, InstrumentedArray, PreciseArray
+from repro.memory.error_model import WordErrorModel
 from repro.obs import get_tracer
 
 from .base import BaseSorter
+from .msd_walk import PlannedWalk, prefix_runs, walk_segments
 
 #: Key width the digit plans cover (the paper's 32-bit integer keys).
 KEY_BITS = 32
@@ -203,25 +205,13 @@ class LSDRadixSort(BaseSorter):
         return 0.0 if n < 2 else self.expected_key_writes(n)
 
 
-def _child_segments(
-    sizes: list[int], lo: int, depth: int
-) -> list[tuple[int, int, int]]:
-    """``(start, end, depth)`` of every bucket of two or more elements.
-
-    ``sizes`` are a partition's bucket sizes in digit order, starting at
-    ``lo``; the children come back in digit order too, so pushing them on
-    the walk's stack pops (and corrupts) them in the same order as ever.
-    The sizes arrive as Python ints: for 8 to 64 buckets a plain loop over
-    them beats both a numpy cumsum/nonzero pass (5-9 us per call on a
-    2-CPU host) and a loop over numpy scalars.
-    """
-    children = []
-    start = lo
-    for size in sizes:
-        if size > 1:
-            children.append((start, start + size, depth))
-        start += size
-    return children
+#: ``(partition, key_regions, id_regions)``: an MSD partition callable and
+#: the arrays it writes, in write order, keys and ids last.
+_Partitioner = tuple[
+    Callable[[int, int, int, int], list[int]],
+    list[InstrumentedArray],
+    list[InstrumentedArray],
+]
 
 
 class _MSDWalkSorter(BaseSorter):
@@ -249,44 +239,63 @@ class _MSDWalkSorter(BaseSorter):
     ) -> None:
         if self._fusable(keys, ids):
             self._sort_fused(keys, ids)
+        elif self._plannable(keys, ids):
+            self._sort_planned(keys, ids)
         else:
             self._sort_levels(keys, ids)
 
     def _partitioner(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
-    ) -> Callable[[int, int, int, int], list[int]]:
-        """``partition(lo, hi, shift, mask)`` for one sort of (keys, ids).
+    ) -> _Partitioner:
+        """The partition of one sort of (keys, ids), and what it writes.
 
-        The callable distributes ``keys[lo:hi]`` by one digit and returns
-        the bucket sizes in digit order.
+        ``partition(lo, hi, shift, mask)`` distributes ``keys[lo:hi]`` by
+        one digit and returns the bucket sizes in digit order.
         """
         raise NotImplementedError
+
+    def _plannable(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> bool:
+        """Whether the walk may run as plan → verify → commit.
+
+        :meth:`_fusable`'s conditions with approximate keys: numpy
+        kernels, keys a bare :class:`ApproxArray` over a
+        :class:`WordErrorModel` (whose block sampler the verifier
+        replays), ids a bare :class:`PreciseArray` or absent, and a
+        disabled tracer, so a traced run keeps its ``msd.depth.*``
+        counters.
+        """
+        return (
+            self._use_numpy_kernels(keys, ids)
+            and type(keys) is ApproxArray
+            and type(keys.model) is WordErrorModel
+            and (ids is None or type(ids) is PreciseArray)
+            and not get_tracer().enabled
+        )
+
+    def _sort_planned(
+        self, keys: ApproxArray, ids: Optional[PreciseArray]
+    ) -> None:
+        """The walk on approximate memory, committed a subtree at a time
+        (:mod:`repro.sorting.msd_walk`); bit-identical to
+        :meth:`_sort_levels`."""
+        partition, key_regions, id_regions = self._partitioner(keys, ids)
+        PlannedWalk(self._plan, key_regions, id_regions, partition).run()
 
     def _sort_levels(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
     ) -> None:
         """The segment-by-segment walk, one partition per segment."""
-        partition = self._partitioner(keys, ids)
+        partition = self._partitioner(keys, ids)[0]
         tracer = get_tracer()
         # Per-depth rollup (segments partitioned, elements moved) emitted as
         # counters after the walk; only accumulated when tracing is on.
         by_depth: dict[int, list[int]] = {}
-        last = len(self._plan) - 1
-        # Explicit work stack instead of recursion: segments can be numerous
-        # (64-way fan-out) and Python's recursion limit is easy to trip.
-        stack = [(0, len(keys), 0)]
-        while stack:
-            lo, hi, depth = stack.pop()
-            if hi - lo <= 1:
-                continue
-            if tracer.enabled:
-                rollup = by_depth.setdefault(depth, [0, 0])
-                rollup[0] += 1
-                rollup[1] += hi - lo
-            shift, mask = self._plan[depth]
-            sizes = partition(lo, hi, shift, mask)
-            if depth < last:
-                stack.extend(_child_segments(sizes, lo, depth + 1))
+        walk_segments(
+            partition, self._plan, [(0, len(keys), 0)],
+            by_depth if tracer.enabled else None,
+        )
         for depth in sorted(by_depth):
             segments, elements = by_depth[depth]
             depth_attrs = {"algo": self.name, "depth": depth}
@@ -303,24 +312,19 @@ class _MSDWalkSorter(BaseSorter):
         traffic is closed-form.  A segment at depth ``d >= 1`` is a group
         of two or more keys sharing the digits above depth ``d``, and every
         element of a partitioned segment is moved once, so depth ``d``
-        charges the elements in such groups (depth 0: all ``n``).
+        charges the elements in such groups (depth 0: all ``n``): the node
+        sizes the planned walk finds with the same :func:`prefix_runs`.
         """
         n = len(keys)
         values = keys.peek_block_np(0, n)
         order = np.argsort(values, kind="stable")
         ordered = values[order]
         charged = n
-        grouped = np.empty(n, dtype=bool)
         for shift, _ in self._plan[:-1]:
-            prefix = ordered >> np.uint32(shift)
-            same = prefix[1:] == prefix[:-1]
-            grouped[0] = False
-            grouped[1:] = same
-            grouped[:-1] |= same
-            count = int(np.count_nonzero(grouped))
-            if not count:
+            starts, ends = prefix_runs(ordered >> np.uint32(shift))
+            if not starts.size:
                 break
-            charged += count
+            charged += int((ends - starts).sum())
         self._commit_fused(keys, ids, ordered, order, self._touches * charged)
 
 
@@ -335,7 +339,7 @@ class MSDRadixSort(_MSDWalkSorter):
 
     def _partitioner(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
-    ) -> Callable[[int, int, int, int], list[int]]:
+    ) -> _Partitioner:
         bucket_keys = keys.clone_empty(name=f"{keys.name}.buckets")
         bucket_ids = (
             ids.clone_empty(name=f"{ids.name}.buckets") if ids is not None else None
@@ -345,7 +349,11 @@ class MSDRadixSort(_MSDWalkSorter):
             if self._use_numpy_kernels(keys, ids)
             else self._partition_segment
         )
-        return partial(partition, keys, ids, bucket_keys, bucket_ids)
+        return (
+            partial(partition, keys, ids, bucket_keys, bucket_ids),
+            [bucket_keys, keys],
+            [bucket_ids, ids] if ids is not None else [],
+        )
 
     @staticmethod
     def _partition_segment(

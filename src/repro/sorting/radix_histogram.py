@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.memory.approx_array import InstrumentedArray
 
 from .base import BaseSorter
-from .radix import _MSDWalkSorter, _digits_np, lsd_digit_plan
+from .radix import _MSDWalkSorter, _Partitioner, _digits_np, lsd_digit_plan
 
 
 class HistogramLSDRadixSort(BaseSorter):
@@ -138,13 +138,15 @@ class HistogramMSDRadixSort(_MSDWalkSorter):
 
     def _partitioner(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
-    ) -> Callable[[int, int, int, int], list[int]]:
+    ) -> _Partitioner:
         permute = (
             self._permute_segment_np
             if self._use_numpy_kernels(keys, ids)
             else self._permute_segment
         )
-        return partial(permute, keys, ids)
+        return (
+            partial(permute, keys, ids), [keys], [ids] if ids is not None else []
+        )
 
     @staticmethod
     def _permute_segment(

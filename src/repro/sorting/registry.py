@@ -114,7 +114,12 @@ def make_base_sorter(name: str, **kwargs) -> BaseSorter:
     return factory()
 
 
-def _env_shards() -> int:
+def env_shards() -> int:
+    """The shard count :func:`make_sorter` applies to plain names.
+
+    Read from :data:`SHARDS_ENV` (1 when unset); a malformed value raises
+    :class:`ConfigError`.
+    """
     raw = os.environ.get(SHARDS_ENV)
     if raw is None:
         return 1
@@ -173,11 +178,11 @@ def make_sorter(name: str, **kwargs) -> BaseSorter:
             **wrapper_kwargs,
         )
     sorter = make_base_sorter(name, **kwargs)
-    env_shards = _env_shards()
-    if env_shards >= 2:
+    shards = env_shards()
+    if shards >= 2:
         from repro.parallel.sharded import ShardedSorter
 
-        return ShardedSorter(sorter, shards=env_shards)
+        return ShardedSorter(sorter, shards=shards)
     return sorter
 
 

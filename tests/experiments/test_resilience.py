@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments.checkpoint import RunCheckpoint
 from repro.experiments.common import (
     FAULT_CRASH_EXIT,
     parse_fault_spec,
 )
 from repro.experiments.runner import EXIT_PARTIAL, main
+from repro.sorting.registry import SHARDS_ENV
 
 
 @pytest.fixture()
@@ -365,3 +367,61 @@ class TestResumeTracing:
         ]
         assert len(retries) == 1
         assert retries[0]["attrs"]["experiment"] == "fig02"
+
+
+class TestResumeShardCount:
+    """Sharding changes which writes err, so a resume must not mix
+    sharded and unsharded tables."""
+
+    @staticmethod
+    def unset_shards(monkeypatch):
+        """Drop the shard count the in-process runner exported, as a new
+        command's environment would; undone at teardown."""
+        monkeypatch.setenv(SHARDS_ENV, "1")
+        monkeypatch.delenv(SHARDS_ENV)
+
+    def test_resume_without_the_recorded_shards_is_refused(
+        self, sandbox, monkeypatch, capsys
+    ):
+        self.unset_shards(monkeypatch)
+        assert main(
+            ["--exp", "table3", "--exp", "fig10", "--scale", "smoke",
+             "--shards", "2", "--checkpoint", "d2"]
+        ) == 0
+        capsys.readouterr()
+        # The runner exports --shards for its workers; a later command
+        # without the flag runs in a fresh environment.
+        self.unset_shards(monkeypatch)
+        (sandbox / "runs" / "d2" / "result-fig10.json").unlink()
+        assert main(["--resume", "d2"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err
+        assert "shards: recorded 2, requested 1" in err
+
+    def test_resume_with_the_recorded_shards_runs(
+        self, sandbox, monkeypatch, capsys
+    ):
+        self.unset_shards(monkeypatch)
+        argv = ["--exp", "table3", "--scale", "smoke", "--shards", "2"]
+        assert main(argv + ["--checkpoint", "d2"]) == 0
+        capsys.readouterr()
+        self.unset_shards(monkeypatch)
+        assert main(["--resume", "d2", "--shards", "2"]) == 0
+        assert "1/1 experiments restored" in capsys.readouterr().err
+
+    def test_manifest_without_shards_reads_as_unsharded(self, tmp_path):
+        checkpoint = RunCheckpoint.create(
+            {"experiments": ["fig02"], "scale": "smoke", "seed": 0,
+             "kernels": "scalar"},
+            run_id="old", root=tmp_path,
+        )
+        checkpoint.check_config(
+            {"experiments": ["fig02"], "scale": "smoke", "seed": 0,
+             "kernels": "scalar", "shards": 1}
+        )
+        with pytest.raises(ConfigError, match="shards"):
+            checkpoint.check_config(
+                {"experiments": ["fig02"], "scale": "smoke", "seed": 0,
+                 "kernels": "scalar", "shards": 2}
+            )
+        checkpoint.close()

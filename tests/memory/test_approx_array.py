@@ -1,5 +1,6 @@
 """Tests for the instrumented PreciseArray / ApproxArray."""
 
+import numpy as np
 import pytest
 
 from repro.memory.approx_array import ApproxArray, PreciseArray, WORD_LIMIT
@@ -184,3 +185,57 @@ class TestApproxArray:
         array.read(1)
         array.write(2, 9)
         assert events == [("R", "approx", 1), ("W", "approx", 2)]
+
+
+class TestBlockStreamPeek:
+    """The stream primitives the planned MSD walk verifies its writes with."""
+
+    def test_peek_leaves_the_stream_alone(self, pcm_sweet):
+        array, _ = make_approx(pcm_sweet, [0] * 8, seed=5)
+        first = array.peek_block_uniforms(40)
+        assert np.array_equal(array.peek_block_uniforms(40), first)
+        assert np.array_equal(array._np_rng.random(40), first)
+
+    def test_peek_is_the_draws_of_consecutive_blocks(self, pcm_sweet):
+        array, _ = make_approx(pcm_sweet, [0] * 8, seed=6)
+        peeked = array.peek_block_uniforms(7 + 33)
+        drawn = np.concatenate((array._np_rng.random(7), array._np_rng.random(33)))
+        assert np.array_equal(peeked, drawn)
+
+    @pytest.mark.parametrize("count", [0, 1, 31, 1000])
+    def test_advance_equals_drawing(self, pcm_sweet, count):
+        advanced, _ = make_approx(pcm_sweet, [0] * 8, seed=7)
+        drawn, _ = make_approx(pcm_sweet, [0] * 8, seed=7)
+        advanced.advance_block_stream(count)
+        drawn._np_rng.random(count)
+        assert advanced._np_rng.random() == drawn._np_rng.random()
+
+    def test_clean_block_writes_draw_one_uniform_per_word(self):
+        """A sparse-regime write with no erring word consumes exactly its
+        length in block-stream uniforms (T = 0.040: no cell ever errs)."""
+        from repro.memory.config import MLCParams
+        from repro.memory.factories import PCMMemoryFactory
+
+        factory = PCMMemoryFactory(MLCParams(t=0.040), fit_samples=8_000)
+        written, _ = make_approx(factory, [0] * 100, seed=8)
+        skipped, _ = make_approx(factory, [0] * 100, seed=8)
+        for start, size in ((0, 3), (3, 40), (43, 57)):
+            written.write_block(start, list(range(start, start + size)))
+        skipped.advance_block_stream(100)
+        assert written._np_rng.random() == skipped._np_rng.random()
+        assert written.stats.corrupted_writes == 0
+
+
+class TestPokeScatter:
+    def test_unaccounted_store(self):
+        stats = MemoryStats()
+        array = PreciseArray([0] * 6, stats=stats)
+        array.poke_scatter_np(np.array([4, 1]), np.array([7, 9]))
+        assert array.to_list() == [0, 9, 0, 0, 7, 0]
+        assert stats.as_dict() == MemoryStats().as_dict()
+
+    def test_rejects_out_of_range_words(self):
+        array = PreciseArray([0] * 2)
+        with pytest.raises(ValueError):
+            array.poke_scatter_np(np.array([0]), np.array([WORD_LIMIT]))
+

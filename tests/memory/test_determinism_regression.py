@@ -284,6 +284,36 @@ REFINE_GOLDENS = {
     'hmsd4': ('68050b10207e78f5', 8, 43),
 }
 
+#: The same digests at the error rates where the planned MSD walk falls
+#: back to the per-segment partition most often, recorded before it
+#: existed: (T, sorter) -> (sha256[:16], Rem~, corrupted writes).
+FALLBACK_REFINE_GOLDENS = {
+    (0.07, 'msd3'): ('9cc26df0704f4cbc', 1261, 4085),
+    (0.07, 'msd6'): ('16ae5cbb4656811a', 609, 2384),
+    (0.07, 'hmsd4'): ('eb29da0b8f2bbb22', 586, 1841),
+    (0.1, 'msd3'): ('4c1b6797382adfd3', 13150, 63635),
+    (0.1, 'msd6'): ('40b2edb9bf8b6a3a', 8274, 38986),
+    (0.1, 'hmsd4'): ('f562751eef4e41c9', 8104, 28919),
+}
+
+
+def refine_digest(sorter: str, t: float) -> tuple:
+    """``(sha256[:16], Rem~, corrupted writes)`` of one approx-refine run
+    at n = 16,000 (keys seed 21, run seed 5, numpy kernels)."""
+    keys = uniform_keys(16_000, seed=21)
+    memory = PCMMemoryFactory(MLCParams(t=t), fit_samples=GOLDEN_FIT)
+    result = run_approx_refine(keys, sorter, memory, seed=5, kernels="numpy")
+    blob = repr((
+        result.final_ids, result.stats.as_dict(),
+        {k: v.as_dict() for k, v in sorted(result.stage_stats.items())},
+        result.rem_tilde,
+    )).encode()
+    assert result.final_keys == sorted(keys)
+    return (
+        hashlib.sha256(blob).hexdigest()[:16], result.rem_tilde,
+        result.stats.corrupted_writes,
+    )
+
 
 def small_block_write_stream(t: float, size: int) -> ApproxArray:
     model = get_model(MLCParams(t=t), samples_per_level=GOLDEN_FIT)
@@ -319,20 +349,14 @@ class TestSmallBlockGoldens:
 
     @pytest.mark.parametrize("sorter", sorted(REFINE_GOLDENS))
     def test_msd_approx_refine_pinned(self, sorter):
-        keys = uniform_keys(16_000, seed=21)
-        memory = PCMMemoryFactory(MLCParams(t=0.055), fit_samples=GOLDEN_FIT)
-        result = run_approx_refine(keys, sorter, memory, seed=5,
-                                   kernels="numpy")
-        blob = repr((
-            result.final_ids, result.stats.as_dict(),
-            {k: v.as_dict() for k, v in sorted(result.stage_stats.items())},
-            result.rem_tilde,
-        )).encode()
-        assert result.final_keys == sorted(keys)
-        assert (
-            hashlib.sha256(blob).hexdigest()[:16], result.rem_tilde,
-            result.stats.corrupted_writes,
-        ) == REFINE_GOLDENS[sorter]
+        assert refine_digest(sorter, 0.055) == REFINE_GOLDENS[sorter]
+
+    @pytest.mark.parametrize(
+        "t, sorter", sorted(FALLBACK_REFINE_GOLDENS),
+        ids=[f"{t}-{name}" for t, name in sorted(FALLBACK_REFINE_GOLDENS)],
+    )
+    def test_msd_approx_refine_pinned_fallback_heavy(self, t, sorter):
+        assert refine_digest(sorter, t) == FALLBACK_REFINE_GOLDENS[(t, sorter)]
 
 
 class TestSmallBlockMatchesVectorized:

@@ -9,7 +9,10 @@ import pytest
 from repro.memory.config import CELLS_PER_WORD, MLCParams
 from repro.memory.error_model import (
     MODEL_CACHE,
+    SMALL_BLOCK_WORDS,
     WordErrorModel,
+    block_sum,
+    block_sums,
     characterize_cells,
     get_model,
     precise_reference_model,
@@ -172,6 +175,39 @@ class TestCorruption:
             if precise_model.corrupt_word(value, rng) != value:
                 count += 1
         assert count <= 25
+
+
+class TestBlockSums:
+    """The vectorized per-block sums the planned MSD walk charges units
+    with, against :func:`block_sum` on each block as the sampler takes it
+    (a list up to ``SMALL_BLOCK_WORDS`` words, an ndarray above)."""
+
+    @staticmethod
+    def reference(values, offsets):
+        blocks = [values[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        return [
+            block_sum(b.tolist() if b.size <= SMALL_BLOCK_WORDS else b.copy())
+            for b in blocks
+        ]
+
+    def test_every_small_size_with_order_sensitive_terms(self):
+        rng = np.random.default_rng(2)
+        sizes = np.repeat(np.arange(1, SMALL_BLOCK_WORDS + 2), 30)
+        rng.shuffle(sizes)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        values = rng.random(offsets[-1]) * 10.0 ** rng.integers(-8, 8, offsets[-1])
+        assert block_sums(values, offsets).tolist() == self.reference(
+            values, offsets
+        )
+
+    def test_large_blocks(self):
+        rng = np.random.default_rng(3)
+        sizes = np.array([33, 128, 129, 1000, 2, 4096])
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        values = rng.random(offsets[-1]) * 3.0
+        assert block_sums(values, offsets).tolist() == self.reference(
+            values, offsets
+        )
 
 
 class TestPickling:

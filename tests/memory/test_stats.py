@@ -1,5 +1,6 @@
 """Tests for MemoryStats accounting and the write-reduction metric."""
 
+import numpy as np
 import pytest
 
 from repro.memory.config import PRECISE_WRITE_LATENCY_NS, READ_LATENCY_NS
@@ -35,6 +36,25 @@ class TestRecording:
         assert stats.approx_writes == 10
         assert stats.approx_write_units == pytest.approx(6.6)
         assert stats.corrupted_writes == 2
+
+    def test_ordered_blocks_add_units_one_at_a_time(self):
+        """Bit-identical to one record_approx_write_block per block, in a
+        case where a pairwise or reordered sum would differ."""
+        units = np.array([1e16, 1.0, -1e16, 3.0, 1e-3, 2.5] * 7)
+        bulk = MemoryStats(approx_write_units=0.1)
+        looped = MemoryStats(approx_write_units=0.1)
+        bulk.record_approx_write_blocks(99, units)
+        for value in units.tolist():
+            looped.record_approx_write_block(0, value)
+        assert bulk.approx_write_units == looped.approx_write_units
+        assert type(bulk.approx_write_units) is float
+        assert bulk.approx_writes == 99 and bulk.corrupted_writes == 0
+        assert bulk.approx_write_units != 0.1 + float(units.sum())
+
+    def test_ordered_blocks_of_nothing(self):
+        stats = MemoryStats(approx_write_units=0.25)
+        stats.record_approx_write_blocks(0, np.zeros(0))
+        assert stats.as_dict() == MemoryStats(approx_write_units=0.25).as_dict()
 
     def test_tepmw_mixes_regions(self):
         stats = MemoryStats()
