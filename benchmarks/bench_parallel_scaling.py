@@ -21,7 +21,7 @@ Two parts, appended as records to ``BENCH_parallel.json`` at the repo root
 
 2. **fig09 paper-scale row** (``part = "fig09_paper"``): the paper's own
    configuration — n = 16M uniform keys, T = 0.055, lsd6 — through the
-   real ``fig09`` cell function, serial vs ``REPRO_SHARDS``-sharded, with
+   real ``fig09`` cell function, serial vs sharded (execution config), with
    wall-clock and scaling-efficiency columns.  ``--quick`` (the CI lane)
    skips this part; ``--paper-n`` shrinks it for rehearsals.
 """
@@ -34,15 +34,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.execution import ExecConfig, use
 from repro.memory.approx_array import PreciseArray
 from repro.memory.stats import MemoryStats
 from repro.parallel.sharded import ShardedSorter
-from repro.sorting.registry import SHARDS_ENV, make_base_sorter
+from repro.sorting.registry import make_base_sorter
 from repro.workloads.generators import uniform_keys
 
 #: Monte-Carlo fit size for the paper-row memory model.
@@ -148,25 +150,22 @@ def bench_fig09_row(n: int, shards: int, seed: int) -> dict:
     from repro.experiments.fig09_write_reduction_t import _cell
 
     algo = "lsd6"
-    os.environ["REPRO_KERNELS"] = "numpy"
+    serial = replace(ExecConfig.from_env(), kernels="numpy", shards=1)
     keys = uniform_keys(n, seed=seed)
-    print(f"[fig09] n={n}: precise baseline ({algo})...", flush=True)
-    baseline = run_precise_baseline(keys, algo)
-    cell_args = (SWEET_SPOT_T, algo, n, seed, FIT, baseline.total_units)
+    with use(serial):
+        print(f"[fig09] n={n}: precise baseline ({algo})...", flush=True)
+        baseline = run_precise_baseline(keys, algo)
+        cell_args = (SWEET_SPOT_T, algo, n, seed, FIT, baseline.total_units)
 
-    os.environ.pop(SHARDS_ENV, None)
-    start = time.perf_counter()
-    serial_cell = _cell(*cell_args)
-    serial_s = time.perf_counter() - start
+        start = time.perf_counter()
+        serial_cell = _cell(*cell_args)
+        serial_s = time.perf_counter() - start
     print(f"[fig09] serial cell: {serial_s:.1f}s", flush=True)
 
-    os.environ[SHARDS_ENV] = str(shards)
-    try:
+    with use(replace(serial, shards=shards)):
         start = time.perf_counter()
         sharded_cell = _cell(*cell_args)
         sharded_s = time.perf_counter() - start
-    finally:
-        os.environ.pop(SHARDS_ENV, None)
     print(f"[fig09] sharded({shards}) cell: {sharded_s:.1f}s", flush=True)
 
     speedup = serial_s / sharded_s if sharded_s else float("inf")

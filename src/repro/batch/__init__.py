@@ -5,8 +5,6 @@ kernel passes over one concatenated buffer — bit-identical per-job results
 and stats, per-segment stats tiling the batch aggregate exactly.
 """
 
-from repro.kernels import BATCH_ENV, batching_enabled
-
 from .engine import (
     BatchJob,
     SEGMENTED_SORTERS,
@@ -18,11 +16,9 @@ from .engine import (
 from .segments import SegmentPlan, tiled_aggregate
 
 __all__ = [
-    "BATCH_ENV",
     "BatchJob",
     "SEGMENTED_SORTERS",
     "SegmentPlan",
-    "batching_enabled",
     "run_approx_refine_batch",
     "run_batch",
     "run_job_group",

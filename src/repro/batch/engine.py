@@ -19,7 +19,8 @@ Contracts (tested in ``tests/batch`` and by the ``batched_loop`` oracle):
 Algorithms without a segmented kernel (the recursive/value-dependent
 sorters) run per-segment inside the engine with fresh per-job sorter
 instances — same results, no cross-pass amortization.  Runs under the
-sanitizer or ``REPRO_SHARDS`` fall back to the looped pipeline entirely:
+sanitizer or a shard count of 2 or more (:mod:`repro.execution`) fall
+back to the looped pipeline entirely:
 those observers are calibrated against the looped access pattern.  An
 enabled tracer does **not** stand the engine down: the engine synthesizes
 per-segment ``batch.segment`` spans from its per-job stats after the
@@ -30,7 +31,6 @@ path they observe.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,14 +41,13 @@ from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.core.refine import merge_refined, sort_rem_ids
 from repro.core.report import ApproxRefineResult, BaselineResult
 from repro.errors import ConfigError
-from repro.kernels import resolve_kernels
+from repro.execution import current, resolve_kernels
 from repro.memory.approx_array import ApproxArray
 from repro.memory.stats import MemoryStats
 from repro.metrics.sortedness import rem_ratio
 from repro.obs import get_metrics, get_tracer
 from repro.obs.tracer import stats_to_dict
-from repro.sorting.registry import SHARDS_ENV, make_base_sorter
-from repro.verify import sanitizing
+from repro.sorting.registry import make_base_sorter
 
 from .segmented_kernels import (
     find_rem_segments,
@@ -87,14 +86,6 @@ class BatchJob:
     kernels: Optional[str] = None
 
 
-def _env_shards() -> int:
-    raw_value = os.environ.get(SHARDS_ENV)
-    try:
-        return int(raw_value) if raw_value else 1
-    except ValueError:
-        return 1
-
-
 def _needs_looped_run() -> bool:
     """Process-wide conditions under which the engine defers to the loop.
 
@@ -105,7 +96,8 @@ def _needs_looped_run() -> bool:
     vectorized path and synthesize their span stream afterwards
     (:func:`_emit_batch_spans`).
     """
-    return sanitizing() or _env_shards() >= 2
+    config = current()
+    return config.sanitize or config.shards >= 2
 
 
 def _memory_batchable(memory) -> bool:
@@ -149,7 +141,7 @@ def run_batch(jobs: Sequence[BatchJob]) -> list:
         ):
             if metrics.enabled:
                 reason = (
-                    ("sanitize" if sanitizing() else "shards")
+                    ("sanitize" if current().sanitize else "shards")
                     if looped else "memory"
                 )
                 metrics.inc("batch.fallback", value=len(indices),

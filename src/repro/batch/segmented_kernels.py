@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.sorting.merge_kernels import level_order
+from repro.sorting.mergesort import merge_passes
 from repro.sorting.radix import _digits_np, lsd_digit_plan
 
 from .segments import charge_reads, raw
@@ -50,12 +51,6 @@ _U64_PAD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @lru_cache(maxsize=None)
-def _merge_levels(n: int) -> int:
-    """Bottom-up merge levels for ``n`` elements, plus the copy-home pass."""
-    levels = math.ceil(math.log2(n))
-    return levels + (levels % 2)
-
-
 @lru_cache(maxsize=None)
 def _precise_traffic(algorithm: str, n: int, bits: Optional[int]) -> tuple[int, int]:
     """(reads, writes) a looped precise sort of ``n >= 2`` keys+IDs charges.
@@ -68,8 +63,8 @@ def _precise_traffic(algorithm: str, n: int, bits: Optional[int]) -> tuple[int, 
     level count is odd.  Both are value-independent on precise memory.
     """
     if algorithm == "mergesort":
-        effective = _merge_levels(n)
-        return 2 * n * effective, 2 * n * effective
+        passes = merge_passes(n)
+        return 2 * n * passes, 2 * n * passes
     passes = len(lsd_digit_plan(bits))
     return 4 * n * passes, 4 * n * passes
 
@@ -86,8 +81,8 @@ def _rem_traffic(algorithm: str, m: int, bits: Optional[int]) -> tuple[int, int]
     one-read-per-REM-key gather is charged separately at gather time.
     """
     if algorithm == "mergesort":
-        effective = _merge_levels(m)
-        return 2 * m * effective, m * effective
+        passes = merge_passes(m)
+        return 2 * m * passes, m * passes
     passes = len(lsd_digit_plan(bits))
     return 4 * m * passes, 2 * m * passes
 

@@ -74,7 +74,7 @@ def run_approx_refine(
     kernels:
         Execution-path override (``"scalar"``/``"numpy"``) applied to the
         sorter and the refine-stage functions; ``None`` keeps the sorter's
-        own mode and the ``REPRO_KERNELS`` process default.
+        own mode and the execution config's (:mod:`repro.execution`).
     trace:
         Optional :class:`repro.pcmsim.trace.TraceRecorder`: when given,
         every accounted access of the pipeline's main arrays (Key0, ID,
@@ -94,9 +94,10 @@ def run_approx_refine(
     stats = MemoryStats()
     tracer = get_tracer()
     stages = StageRecorder(stats, tracer)
-    # REPRO_SANITIZE wraps the pipeline arrays in invariant-checking
-    # shadows (repro.verify).  Checked only here, at allocation scope —
-    # an unsanitized run never sees a wrapper on any access path.
+    # A sanitizing execution config wraps the pipeline arrays in
+    # invariant-checking shadows (repro.verify).  Checked only here, at
+    # allocation scope — an unsanitized run never sees a wrapper on any
+    # access path.
     wrap = sanitize if sanitizing() else (lambda array: array)
     checks_before = checks_performed()
 

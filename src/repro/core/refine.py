@@ -31,12 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels import resolve_kernels
+from repro.execution import resolve_kernels
 from repro.memory.approx_array import InstrumentedArray, PreciseArray
 from repro.memory.stats import MemoryStats
 from repro.obs import get_tracer
 from repro.sorting.base import BaseSorter
-from repro.verify import sanitize, sanitizing
+from repro.verify import maybe_sanitize
 
 
 def _use_np(kernels: Optional[str], *arrays: InstrumentedArray) -> bool:
@@ -185,11 +185,8 @@ def sort_rem_ids(
         rem_keys = [key0.read(rid) for rid in rem_ids]
 
     shadow_stats = MemoryStats()
-    shadow_keys = PreciseArray(rem_keys, stats=shadow_stats)
-    id_array = PreciseArray(rem_ids, stats=stats)
-    if sanitizing():
-        shadow_keys = sanitize(shadow_keys)
-        id_array = sanitize(id_array)
+    shadow_keys = maybe_sanitize(PreciseArray(rem_keys, stats=shadow_stats))
+    id_array = maybe_sanitize(PreciseArray(rem_ids, stats=stats))
     sorter.sort(shadow_keys, id_array)
     # Key comparisons during the sort are Key0 reads in the paper's design.
     stats.record_precise_read(shadow_stats.precise_reads)

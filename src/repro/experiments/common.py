@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError
+from repro.execution import batching_enabled, current, install
 
 SCALES = ("smoke", "default", "large", "paper")
 
@@ -272,9 +273,10 @@ def map_cells(
     ``batcher`` (optional) is a function taking a list of cells and
     returning their results in the same order, by coalescing the cells
     through the :mod:`repro.batch` engine.  It is used only when batching
-    is enabled (``REPRO_BATCH``), sequential (``jobs <= 1``) and there is
-    more than one outstanding cell; the batch engine's bit-identity
-    contract keeps the table identical to the looped run.
+    is enabled (the execution config's ``batch``), sequential
+    (``jobs <= 1``) and there is more than one outstanding cell; the batch
+    engine's bit-identity contract keeps the table identical to the looped
+    run.
     """
     results: list = [None] * len(cells)
     heartbeat = current_heartbeat()
@@ -299,8 +301,6 @@ def map_cells(
     if not todo:
         return results
     if batcher is not None and jobs <= 1 and len(todo) > 1:
-        from repro.kernels import batching_enabled
-
         if batching_enabled():
             if heartbeat is not None:
                 heartbeat.set_detail(f"batching {len(todo)} cells")
@@ -320,7 +320,12 @@ def map_cells(
         return results
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+    # Workers get the execution config explicitly, not through the start
+    # method: a spawned worker would otherwise fall back to the env's.
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(todo)),
+        initializer=install, initargs=(current(),),
+    ) as pool:
         futures = {pool.submit(fn, *cells[i]): i for i in todo}
         # Journal each cell the moment it finishes (not in index order), so
         # an interruption preserves every completed measurement.

@@ -38,22 +38,27 @@ errors (2).  The ``REPRO_FAULT`` environment variable injects test faults
 total seconds, plus the scale/seed/jobs/kernels configuration) to a JSON
 array file, ``BENCH_runner.json`` by default.
 
-``--kernels numpy`` exports ``REPRO_KERNELS=numpy`` for the whole run
-(workers included), switching every sorter and refine call to the
+``--kernels``, ``--shards``, ``--sanitize`` and ``--batch`` (else their
+``REPRO_*`` variables) form the run's :class:`repro.execution.ExecConfig`,
+resolved once and installed for the whole run, workers included; nothing
+is exported to ``os.environ``.  A checkpoint records its kernels and shards;
+a resume adopts the recorded kernel mode when the command line gives none.
+
+``--kernels numpy`` switches every sorter and refine call to the
 vectorized kernels; accounted counts are unchanged (DESIGN.md section 8).
 
-``--batch`` exports ``REPRO_BATCH=1``: experiments that declare a cell
-batcher (currently ``ext_variance``) coalesce their independent cells
-through the :mod:`repro.batch` segmented-sort engine — one vectorized
-kernel pass advances every cell — with per-cell results bit-identical to
-looped execution (DESIGN.md section 13, docs/batching.md).
+``--batch``: experiments that declare a cell batcher (currently
+``ext_variance``) coalesce their independent cells through the
+:mod:`repro.batch` segmented-sort engine — one vectorized kernel pass
+advances every cell — with per-cell results bit-identical to looped
+execution (DESIGN.md section 13, docs/batching.md).
 
-``--sanitize`` exports ``REPRO_SANITIZE=1`` for the whole run: the
-pipelines wrap their arrays in the :mod:`repro.verify` runtime sanitizer,
-which re-checks bounds, accounting conservation and corruption-modeling
-invariants on every access.  Results are bit-identical to an unsanitized
-run (the sanitizer is observation-only); wall-clock is several times
-slower (docs/verifying.md).
+``--sanitize``: the pipelines wrap their arrays in the
+:mod:`repro.verify` runtime sanitizer, which re-checks bounds, accounting
+conservation and corruption-modeling invariants on every access.  Results
+are bit-identical to an unsanitized run (the sanitizer is
+observation-only); wall-clock is several times slower
+(docs/verifying.md).
 
 ``--trace [PATH]`` turns on structured tracing (DESIGN.md section 9):
 every process of the run appends span/counter/gauge events to its own
@@ -92,14 +97,15 @@ import signal
 import sys
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from multiprocessing.connection import Connection, wait as _mp_wait
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.errors import CheckpointCorruptError, ConfigError
-from repro.kernels import BATCH_ENV, KERNEL_MODES, KERNELS_ENV, resolve_kernels
+from repro.execution import BATCH_ENV, KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV
+from repro.execution import KERNEL_MODES, ExecConfig, use
 from repro.obs import (
     METRICS_DIR_ENV,
     TRACE_DIR_ENV,
@@ -116,8 +122,6 @@ from repro.obs.metrics import (
     read_snapshots,
     snapshot_to_prometheus,
 )
-from repro.sorting.registry import SHARDS_ENV, env_shards
-from repro.verify import SANITIZE_ENV
 
 from .checkpoint import RunCheckpoint
 from .common import (
@@ -247,6 +251,7 @@ def _run_single(
 
 def _supervised_worker(
     conn: Connection,
+    config: ExecConfig,
     name: str,
     scale: str | None,
     seed: int,
@@ -260,16 +265,18 @@ def _supervised_worker(
     the supervisor can kill it *and any grandchildren it forked* — e.g. a
     cell-parallel experiment's pool workers — with one ``killpg``, and so
     a terminal Ctrl-C reaches only the supervisor, which shuts the
-    children down deliberately.
+    children down deliberately.  The execution config arrives as an
+    argument, so a child started without fork runs under the same one.
     """
     try:
         os.setsid()
     except (AttributeError, OSError):  # pragma: no cover - non-POSIX
         pass
     try:
-        _, table, elapsed = _run_single(
-            name, scale, seed, jobs, profile_dir, cell_journal_path
-        )
+        with use(config):
+            _, table, elapsed = _run_single(
+                name, scale, seed, jobs, profile_dir, cell_journal_path
+            )
     except BaseException as exc:
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -369,6 +376,7 @@ class _Supervisor:
         self,
         pending: list[str],
         *,
+        config: ExecConfig,
         scale: str | None,
         seed: int,
         child_jobs: int,
@@ -380,6 +388,7 @@ class _Supervisor:
         checkpoint: RunCheckpoint | None,
         emitter: _OrderedEmitter,
     ) -> None:
+        self.config = config
         self.scale = scale
         self.seed = seed
         self.child_jobs = child_jobs
@@ -394,7 +403,7 @@ class _Supervisor:
         self.running: list[_Job] = []
         self.failures: dict[str, tuple[int, str]] = {}
         if "fork" in multiprocessing.get_all_start_methods():
-            # Fork keeps the in-memory model cache and env warm in children.
+            # Fork keeps the in-memory model cache warm in children.
             self._ctx = multiprocessing.get_context("fork")
         else:  # pragma: no cover - non-POSIX
             self._ctx = multiprocessing.get_context()
@@ -436,8 +445,8 @@ class _Supervisor:
         process = self._ctx.Process(
             target=_supervised_worker,
             args=(
-                send, job.name, self.scale, self.seed, self.child_jobs,
-                self.profile_dir, cell_path,
+                send, self.config, job.name, self.scale, self.seed,
+                self.child_jobs, self.profile_dir, cell_path,
             ),
             name=f"repro-{job.name}",
         )
@@ -692,8 +701,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="shard every sort N ways inside the cell (exports"
-        f" {SHARDS_ENV}; intra-sort parallelism over shared memory —"
+        help="shard every sort N ways inside the cell (default:"
+        f" {SHARDS_ENV}, else 1; intra-sort parallelism over shared memory —"
         " the right granularity when a single experiment dominates;"
         " see docs/scaling.md)",
     )
@@ -742,7 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch", action="store_true",
         help="coalesce an experiment's independent cells through the"
         " repro.batch segmented-sort engine where the experiment supports"
-        f" it (exports {BATCH_ENV}=1; per-cell results are bit-identical"
+        f" it (or {BATCH_ENV}=1; per-cell results are bit-identical"
         " to looped execution; ignored under --sanitize/--shards, which"
         " fall back to the looped pipeline — traced runs stay batched and"
         " synthesize per-segment spans)",
@@ -751,7 +760,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sanitize", action="store_true",
         help="run with the repro.verify runtime sanitizer: every array"
         " access is invariant-checked against a precise shadow copy"
-        f" (exports {SANITIZE_ENV}=1 for the whole run, workers included;"
+        f" (or {SANITIZE_ENV}=1; for the whole run, workers included;"
         " results are bit-identical, wall-clock is several times slower)",
     )
     parser.add_argument(
@@ -803,24 +812,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.kernels is not None:
-        # Exported (not passed down) so fork-inherited worker processes and
-        # every make_sorter()/refine call see the same mode.
-        os.environ[KERNELS_ENV] = args.kernels
-    if args.sanitize:
-        # Same export pattern; the pipelines check it at allocation sites.
-        os.environ[SANITIZE_ENV] = "1"
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        # Same export pattern again: make_sorter() wraps every plain sorter
-        # in a ShardedSorter, so experiments shard without any plumbing.
-        os.environ[SHARDS_ENV] = str(args.shards)
-    if args.batch:
-        # Same export pattern: map_cells() checks it before handing an
-        # experiment's cells to its batcher (repro.batch gates itself off
-        # again under the sanitizer/tracer/shards).
-        os.environ[BATCH_ENV] = "1"
+    if args.shards is not None and args.shards < 1:
+        parser.error("--shards must be >= 1")
 
     if args.list:
         width = max(len(name) for name in EXPERIMENTS)
@@ -881,6 +874,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     failures: dict[str, tuple[int, str]] = {}
     wall_start = time.perf_counter()
     try:
+        recorded: dict = {}
         if args.resume is not None:
             checkpoint = RunCheckpoint.load(args.resume, root=args.runs_dir)
             recorded = checkpoint.config
@@ -895,16 +889,22 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 args.scale = recorded.get("scale")
             if args.seed is None:
                 args.seed = recorded.get("seed")
-            if args.kernels is None and recorded.get("kernels"):
-                os.environ[KERNELS_ENV] = recorded["kernels"]
         seed = args.seed if args.seed is not None else 0
+        # Command line > environment > default; a resume's recorded kernel
+        # mode stands in for a --kernels the command line left out.
+        env = ExecConfig.from_env()
+        exec_config = replace(
+            env,
+            kernels=args.kernels or recorded.get("kernels") or env.kernels,
+            shards=env.shards if args.shards is None else args.shards,
+            sanitize=args.sanitize or env.sanitize,
+            batch=args.batch or env.batch,
+        )
         config = {
             "experiments": names,
             "scale": resolve_scale(args.scale),
             "seed": seed,
-            "kernels": resolve_kernels(args.kernels),
-            # Sharding changes which writes err (DESIGN.md section 12).
-            "shards": env_shards(),
+            **exec_config.result_fields(),
         }
         if args.resume is not None:
             checkpoint.check_config(config)
@@ -940,7 +940,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             args.jobs > 1
             and len(names) == 1
             and names[0] in CELL_PARALLEL
-            and args.shards is None
+            and exec_config.shards == 1
         ):
             # Measured in BENCH_runner.json: experiment-level fan-out of a
             # single cell-parallel experiment buys ~nothing (fig09 even
@@ -974,6 +974,7 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             if supervise:
                 supervisor = _Supervisor(
                     pending,
+                    config=exec_config,
                     scale=args.scale,
                     seed=seed,
                     child_jobs=args.jobs if len(pending) == 1 else 1,
@@ -997,11 +998,12 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                     cell_path = None
                     if checkpoint is not None and name in CELL_PARALLEL:
                         cell_path = str(checkpoint.cell_journal_path(name))
-                    _, table, elapsed = _run_single(
-                        name, args.scale, seed, jobs=args.jobs,
-                        profile_dir=profile_dir,
-                        cell_journal_path=cell_path,
-                    )
+                    with use(exec_config):
+                        _, table, elapsed = _run_single(
+                            name, args.scale, seed, jobs=args.jobs,
+                            profile_dir=profile_dir,
+                            cell_journal_path=cell_path,
+                        )
                     if checkpoint is not None:
                         checkpoint.record(name, table, elapsed)
                     emitter.ready(name, table, elapsed)
@@ -1093,9 +1095,8 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "jobs": args.jobs,
             "cpus": os.cpu_count(),
             "workers_effective": workers_effective,
-            "shards": args.shards,
-            "kernels": resolve_kernels(args.kernels),
-            "batch": bool(args.batch),
+            **exec_config.result_fields(),
+            "batch": exec_config.batch,
             "experiments": {name: round(t, 3) for name, t in timings.items()},
             "total_s": round(total, 3),
         }
@@ -1104,8 +1105,8 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if baseline is not None and total > 0:
             speedup = baseline["total_s"] / total
             parallelism = (
-                args.shards
-                if args.shards is not None and args.shards > 1
+                exec_config.shards
+                if exec_config.shards > 1
                 else workers_effective
             )
             record["speedup_vs_serial"] = round(speedup, 3)

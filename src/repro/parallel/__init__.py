@@ -9,16 +9,15 @@ Public surface:
 * :mod:`~repro.parallel.pool` — the persistent fork worker pool.
 
 Spec strings understood by :func:`repro.sorting.make_sorter`:
-``"sharded:<base>"`` and ``"sharded:<base>:<shards>"``; the
-``REPRO_SHARDS`` environment variable (set by ``runner.py --shards``)
-wraps every plain registry sorter the same way.
+``"sharded:<base>"`` and ``"sharded:<base>:<shards>"``; the execution
+config's shard count (``runner.py --shards`` or ``REPRO_SHARDS``; see
+:mod:`repro.execution`) wraps every plain registry sorter the same way.
 """
 
 from .pool import WorkerPool, fork_available, get_pool, shutdown_pools
-from .sharded import SHARD_WORKERS_ENV, ShardedSorter
+from .sharded import ShardedSorter
 
 __all__ = [
-    "SHARD_WORKERS_ENV",
     "ShardedSorter",
     "WorkerPool",
     "fork_available",

@@ -48,7 +48,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kernels import resolve_kernels
+from repro.execution import resolve_kernels
 from repro.memory.approx_array import ApproxArray, InstrumentedArray, PreciseArray
 from repro.memory.spintronic import SpintronicArray
 from repro.memory.stats import MemoryStats
@@ -60,9 +60,6 @@ from .pool import fork_available, get_pool
 
 #: Module path shipped to workers for late task binding.
 _MODULE = "repro.parallel.sharded"
-
-#: Worker-count override honoured when ``ShardedSorter(workers=None)``.
-SHARD_WORKERS_ENV = "REPRO_SHARD_WORKERS"
 
 #: Splitter sample size per shard for ``partition="sample"``.
 _OVERSAMPLE = 32
@@ -200,8 +197,8 @@ class ShardedSorter(BaseSorter):
     shards:
         Number of key-range shards (>= 1; 1 delegates to ``base``).
     workers:
-        Pool worker processes.  ``None`` reads :data:`SHARD_WORKERS_ENV`,
-        defaulting to ``min(shards, os.cpu_count())``; values below 2 (or
+        Pool worker processes.  ``None`` means
+        ``min(shards, os.cpu_count())``; values below 2 (or
         platforms without fork) run shards in-process — bit-identical to
         the pooled run by construction.
     partition:
@@ -258,23 +255,9 @@ class ShardedSorter(BaseSorter):
     # ------------------------------------------------------------------ #
 
     def _effective_workers(self) -> int:
-        if self.workers is not None:
-            workers = self.workers
-        else:
-            raw = os.environ.get(SHARD_WORKERS_ENV)
-            if raw is not None:
-                try:
-                    workers = int(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"{SHARD_WORKERS_ENV} must be an integer, got {raw!r}"
-                    ) from None
-                if workers < 0:
-                    raise ConfigError(
-                        f"{SHARD_WORKERS_ENV} must be >= 0, got {workers}"
-                    )
-            else:
-                workers = min(self.shards, os.cpu_count() or 1)
+        workers = self.workers
+        if workers is None:
+            workers = min(self.shards, os.cpu_count() or 1)
         if workers >= 2 and not fork_available():
             workers = 0
         return workers
@@ -529,8 +512,8 @@ class ShardedSorter(BaseSorter):
         # the same recipe: a stateful base (quicksort's pivot RNG) must not
         # leak state across shards, or in-process runs would diverge from
         # pooled runs, where every worker task rebuilds from scratch.  The
-        # kernel mode is pinned to what the parent resolved — a worker's
-        # inherited environment is frozen at fork time and must not decide.
+        # kernel mode is pinned to what the parent resolved — a pool worker's
+        # execution config is frozen at fork time and must not decide.
         sorter_kwargs = dict(_implicit_kwargs(self.base))
         sorter_kwargs["kernels"] = resolve_kernels(self.base.kernels)
         if shm is not None and workers >= 2:

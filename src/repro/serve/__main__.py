@@ -19,6 +19,9 @@ import signal
 import sys
 from pathlib import Path
 
+from repro.errors import ConfigError
+from repro.execution import ExecConfig, use
+
 from .client import run_load
 from .degrade import DegradePolicy
 from .server import SortServer
@@ -166,7 +169,14 @@ def main(argv=None) -> int:
     loadgen.set_defaults(func=cmd_loadgen)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        # Resolved once, so a malformed setting fails at startup, not in
+        # the first request.
+        config = ExecConfig.from_env()
+    except ConfigError as exc:
+        parser.error(str(exc))
+    with use(config):
+        return args.func(args)
 
 
 if __name__ == "__main__":

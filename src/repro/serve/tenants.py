@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.kernels import KERNEL_MODES
+from repro.execution import KERNEL_MODES
 from repro.memory.config import MLCParams
 from repro.memory.error_model import DEFAULT_FIT_SAMPLES
 from repro.memory.factories import PCMMemoryFactory
@@ -57,7 +57,7 @@ class TenantProfile:
         Sorting-algorithm registry name (``lsd3`` ... ``mergesort``).
     kernels:
         Kernel mode (``"scalar"``/``"numpy"``); ``None`` inherits the
-        process default (``REPRO_KERNELS``).
+        execution config's (:func:`repro.execution.current`).
     t:
         Target-range half-width of the approximate tier (paper Fig 9's
         sweep axis).

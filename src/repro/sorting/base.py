@@ -19,7 +19,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from repro.kernels import resolve_kernels
+from repro.execution import resolve_kernels
 from repro.memory.approx_array import InstrumentedArray, PreciseArray
 from repro.obs import get_metrics, get_tracer
 
@@ -45,11 +45,11 @@ class BaseSorter:
     """Shared helpers: element swap/move mirrored across keys and IDs.
 
     Every sorter carries a ``kernels`` mode (``"scalar"``/``"numpy"``, or
-    ``None`` to resolve the process default from ``REPRO_KERNELS`` at sort
-    time).  The numpy mode routes the algorithm through the vectorized
-    kernels built on the arrays' accounted batch primitives; on precise
-    memory both modes produce bit-identical output and identical accounted
-    counts (see DESIGN.md section 8 and
+    ``None`` to resolve the execution config's mode
+    (:func:`repro.execution.current`) at sort time).  The numpy mode
+    routes the algorithm through the vectorized kernels built on the
+    arrays' accounted batch primitives; on precise memory both modes
+    produce bit-identical output and identical accounted counts (see DESIGN.md section 8 and
     ``tests/sorting/test_kernel_equivalence.py``).
     """
 

@@ -24,7 +24,6 @@ closed-form level traffic (:meth:`Mergesort._sort_fused`).
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -34,6 +33,13 @@ from repro.obs import get_tracer
 
 from .base import BaseSorter, nlog2n
 from .merge_kernels import level_order, runs_order
+
+
+def merge_passes(n: int) -> int:
+    """Rewrite passes over all ``n`` elements a bottom-up mergesort makes:
+    ``ceil(log2 n)`` levels, plus the copy-home pass when that is odd."""
+    levels = (n - 1).bit_length() if n >= 2 else 0  # == ceil(log2 n)
+    return levels + (levels % 2)
 
 
 class Mergesort(BaseSorter):
@@ -56,15 +62,13 @@ class Mergesort(BaseSorter):
 
         A stable bottom-up mergesort's output is the unique stable
         ascending order, so one stable argsort reproduces it bit for bit.
-        Accounting replays the level path exactly: ``ceil(log2 n)`` levels,
-        each reading and rewriting every element of each array once, plus
-        the copy-home pass when the level count is odd.
+        Accounting replays the level path exactly: :func:`merge_passes`
+        reads and rewrites of every element of each array.
         """
         n = len(keys)
         values = keys.peek_block_np(0, n)
         order = np.argsort(values, kind="stable")
-        levels = math.ceil(math.log2(n))
-        touches = (levels + (levels % 2)) * n  # per array: reads == writes
+        touches = merge_passes(n) * n  # per array: reads == writes
         self._commit_fused(keys, ids, values[order], order, touches)
 
     def _sort_levels(
@@ -222,14 +226,7 @@ class Mergesort(BaseSorter):
 
     def expected_key_writes(self, n: int) -> float:
         """alpha_mergesort(n) ~ n*log2(n) (paper Section 4.3)."""
-        if n < 2:
-            return 0.0
-        # ceil(log2 n) full rewrite passes, plus the copy-home pass when the
-        # pass count is odd.
-        passes = math.ceil(math.log2(n))
-        if passes % 2 == 1:
-            passes += 1
-        return float(passes) * n
+        return float(merge_passes(n) * n)
 
     def max_key_writes(self, n: int) -> "float | None":
         """The pass schedule is value-independent: worst case = expected."""

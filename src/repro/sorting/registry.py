@@ -11,10 +11,10 @@ The write-efficient family from asymmetric read/write cost theory
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 from repro.errors import ConfigError
+from repro.execution import SHARDS_ENV, current  # noqa: F401 (re-export)
 
 from .base import BaseSorter
 from .insertion import InsertionSort
@@ -75,19 +75,12 @@ APPROX_KERNEL_EXACT = frozenset(
 )
 
 
-#: Environment variable wrapping every :func:`make_sorter` result in a
-#: :class:`~repro.parallel.sharded.ShardedSorter` with this many shards
-#: (values below 2 are a no-op).  Set by ``runner.py --shards`` so whole
-#: experiments go sharded without any per-site plumbing.
-SHARDS_ENV = "REPRO_SHARDS"
-
-
 def available_sorters() -> list[str]:
     """Names accepted by :func:`make_sorter`, sorted alphabetically.
 
     Only base algorithm names are listed: the ``sharded:`` spec prefix and
-    the :data:`SHARDS_ENV` wrap compose over these rather than extending
-    the paper's algorithm set.
+    the execution config's shard-count wrap compose over these rather than
+    extending the paper's algorithm set.
     """
     return sorted(_FACTORIES)
 
@@ -97,8 +90,8 @@ def make_base_sorter(name: str, **kwargs) -> BaseSorter:
 
     Keyword arguments are forwarded to the constructor (e.g.
     ``make_base_sorter("quicksort", seed=7)``).  This is the factory the
-    shard pool workers rebuild from — it must never consult
-    :data:`SHARDS_ENV`, or a worker would shard recursively.
+    shard pool workers rebuild from — it must never consult the
+    execution config's shard count, or a worker would shard recursively.
     """
     try:
         factory = _FACTORIES[name]
@@ -114,35 +107,15 @@ def make_base_sorter(name: str, **kwargs) -> BaseSorter:
     return factory()
 
 
-def env_shards() -> int:
-    """The shard count :func:`make_sorter` applies to plain names.
-
-    Read from :data:`SHARDS_ENV` (1 when unset); a malformed value raises
-    :class:`ConfigError`.
-    """
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None:
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{SHARDS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if shards < 1:
-        raise ConfigError(f"{SHARDS_ENV} must be >= 1, got {shards}")
-    return shards
-
-
 def make_sorter(name: str, **kwargs) -> BaseSorter:
-    """Instantiate a sorter by name, honouring sharding spec and environment.
+    """Instantiate a sorter by name, honouring sharding spec and config.
 
     Accepts the plain registry names plus the sharded spec forms
     ``"sharded:<base>"`` (default shard count) and
-    ``"sharded:<base>:<shards>"``.  When :data:`SHARDS_ENV` requests >= 2
-    shards, plain names are wrapped in a
-    :class:`~repro.parallel.sharded.ShardedSorter` too — experiments opt
-    in with one environment variable and the PR-5 oracle/sanitizer lanes
+    ``"sharded:<base>:<shards>"``.  When the execution config
+    (:func:`repro.execution.current`) asks for >= 2 shards, plain names
+    are wrapped in a :class:`~repro.parallel.sharded.ShardedSorter` too —
+    experiments opt in with one setting and the oracle/sanitizer lanes
     exercise the sharded path with zero changes.
     """
     if name.startswith("sharded:"):
@@ -178,7 +151,7 @@ def make_sorter(name: str, **kwargs) -> BaseSorter:
             **wrapper_kwargs,
         )
     sorter = make_base_sorter(name, **kwargs)
-    shards = env_shards()
+    shards = current().shards
     if shards >= 2:
         from repro.parallel.sharded import ShardedSorter
 

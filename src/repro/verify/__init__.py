@@ -6,7 +6,8 @@ Three layers, all opt-in and observation-only (DESIGN.md section 11):
   any :class:`repro.memory.approx_array.InstrumentedArray` that maintains a
   precise shadow copy and checks bounds, word-range, accounting-delta and
   divergence invariants on every operation.  Enabled per process with
-  ``REPRO_SANITIZE=1`` (the pipelines wrap their arrays through
+  the execution config's ``sanitize`` field (``--sanitize`` or
+  ``REPRO_SANITIZE=1``; the pipelines wrap their arrays through
   :func:`maybe_sanitize`) or directly via :func:`sanitize`.
 * :mod:`repro.verify.oracle` — differential equivalence classes running one
   ``(sorter, workload, memory, seed)`` case through independently built
@@ -18,28 +19,19 @@ Three layers, all opt-in and observation-only (DESIGN.md section 11):
 
 from __future__ import annotations
 
-import os
+from repro.execution import SANITIZE_ENV, current
 
 from .sanitizer import SanitizedArray, checks_performed, sanitize
 
-#: Environment variable enabling the sanitizer process-wide.  Truthy values
-#: are ``1``/``true``/``yes``/``on`` (case-insensitive); anything else —
-#: including unset — leaves arrays unwrapped, so the disabled path has
-#: structurally zero per-operation overhead.
-SANITIZE_ENV = "REPRO_SANITIZE"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 
 def sanitizing() -> bool:
-    """Whether ``REPRO_SANITIZE`` asks for sanitized runs in this process.
+    """Whether the execution config asks for sanitized runs.
 
-    Read per call (not cached) so tests and the experiment runner can toggle
-    the environment variable without re-importing; the check sits only at
-    array-creation sites — a handful per pipeline run — never in access
-    paths.
+    Checked only at array-creation sites — a handful per pipeline run —
+    never in access paths, so the disabled path has structurally zero
+    per-operation overhead.
     """
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() in _TRUTHY
+    return current().sanitize
 
 
 def maybe_sanitize(array):

@@ -7,29 +7,28 @@ stream of configurations until a time budget runs out:
    keys, and max-word keys for every registered sorter;
 2. then seeded random draws across algorithm × workload × n × T × seed.
 
-Every case runs with the sanitizer enabled (``REPRO_SANITIZE=1`` for the
-duration), so each fuzz iteration exercises both the differential and the
-per-operation invariants.  A failing case is shrunk by ``n`` (re-running
-the failing classes at smaller sizes, keeping the smallest still-failing
-configuration) and persisted as a replayable JSON file under
-``.repro_fuzz/``; ``python -m repro.verify fuzz --replay <file>`` re-runs
-it verbatim.
+Every case runs with the sanitizer enabled (the execution config's
+``sanitize`` forced on for the duration), so each fuzz iteration
+exercises both the differential and the per-operation invariants.  A
+failing case is shrunk by ``n`` (re-running the failing classes at
+smaller sizes, keeping the smallest still-failing configuration) and
+persisted as a replayable JSON file under ``.repro_fuzz/``; ``python -m
+repro.verify fuzz --replay <file>`` re-runs it verbatim.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from random import Random
 from typing import Optional
 
+from repro.execution import current, use
 from repro.sorting.registry import available_sorters
 from repro.workloads.generators import GENERATORS
 
-from . import SANITIZE_ENV
 from .oracle import (
     CaseResult,
     OracleCase,
@@ -176,24 +175,10 @@ def load_case(path: "str | Path") -> tuple[OracleCase, list[str]]:
     return OracleCase(**payload["case"]), list(payload["classes"])
 
 
-class _sanitized_env:
-    """Context manager forcing ``REPRO_SANITIZE`` on (restored on exit)."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-
-    def __enter__(self) -> None:
-        self._prior = os.environ.get(SANITIZE_ENV)
-        if self.enabled:
-            os.environ[SANITIZE_ENV] = "1"
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.enabled:
-            if self._prior is None:
-                os.environ.pop(SANITIZE_ENV, None)
-            else:
-                os.environ[SANITIZE_ENV] = self._prior
-        return False
+def _sanitized(enabled: bool):
+    """Run under the current execution config, sanitizer forced on if asked."""
+    config = current()
+    return use(replace(config, sanitize=True) if enabled else config)
 
 
 def run_fuzz(
@@ -246,7 +231,7 @@ def run_fuzz(
                 f" -> {shrunk_result.divergences[0].describe()} [{path}]"
             )
 
-    with _sanitized_env(sanitized):
+    with _sanitized(sanitized):
         for case in edge_corpus(names, seed=seed):
             if out_of_time():
                 return stats
@@ -270,5 +255,5 @@ def run_fuzz(
 def replay(path: "str | Path", sanitized: bool = True) -> CaseResult:
     """Re-run a persisted failing case exactly as the fuzzer ran it."""
     case, class_names = load_case(path)
-    with _sanitized_env(sanitized):
+    with _sanitized(sanitized):
         return _run_guarded(case, class_names)

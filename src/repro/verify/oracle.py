@@ -593,8 +593,8 @@ def check_batch_span_tiling(case: OracleCase) -> list[Divergence]:
     ``MemoryStats`` (integers exactly, write-units to ulp tolerance), and
     the verbatim ``cum_start``/``cum`` tiling chain that
     :func:`repro.obs.report.check_events` enforces.  Under the sanitizer
-    or ``REPRO_SHARDS`` the engine legitimately loops and emits no batch
-    spans, so the class degenerates to a no-op there.
+    or a shard count of 2 or more the engine legitimately loops and emits
+    no batch spans, so the class degenerates to a no-op there.
     """
     from repro.batch import BatchJob, run_batch
     from repro.batch.engine import _needs_looped_run

@@ -14,10 +14,12 @@ from repro.batch import (
     SEGMENTED_SORTERS,
     run_approx_refine_batch,
     run_batch,
+    run_job_group,
     run_precise_sort_batch,
     tiled_aggregate,
 )
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
+from repro.errors import ConfigError
 from repro.memory.stats import MemoryStats
 from repro.sorting.registry import SHARDS_ENV, available_sorters
 from repro.verify import SANITIZE_ENV
@@ -159,6 +161,20 @@ class TestFallbacks:
         reference = run_precise_baseline(keys, "lsd6")
         assert results[0].final_keys == reference.final_keys
         assert results[0].stats.as_dict() == reference.stats.as_dict()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("runner", [run_batch, run_job_group])
+    def test_malformed_shards_env_rejected(
+        self, monkeypatch, pcm_sweet, runner, value
+    ):
+        # Same verdict as the looped pipeline (run_approx_refine), rather
+        # than a silent batched, unsharded run.
+        monkeypatch.setenv(SHARDS_ENV, value)
+        keys = uniform_keys(30, seed=2)
+        with pytest.raises(ConfigError, match=SHARDS_ENV):
+            run_approx_refine(keys, "lsd6", pcm_sweet, seed=0)
+        with pytest.raises(ConfigError, match=SHARDS_ENV):
+            runner([BatchJob(keys=keys, sorter="lsd6", memory=pcm_sweet)])
 
     def test_spintronic_memory_runs_looped_but_equal(self, stt_33):
         keys_list = [uniform_keys(18, seed=6), uniform_keys(9, seed=7)]

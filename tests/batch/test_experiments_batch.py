@@ -11,7 +11,8 @@ import pytest
 
 from repro.experiments import ext_variance
 from repro.experiments.common import map_cells
-from repro.kernels import BATCH_ENV, batching_enabled
+from repro.errors import ConfigError
+from repro.execution import BATCH_ENV, batching_enabled
 
 
 class TestBatchingEnabled:
@@ -28,6 +29,12 @@ class TestBatchingEnabled:
     def test_truthy_values(self, monkeypatch, value):
         monkeypatch.setenv(BATCH_ENV, value)
         assert batching_enabled() is True
+
+    @pytest.mark.parametrize("value", ["enabled", "2", "y"])
+    def test_malformed_values_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(BATCH_ENV, value)
+        with pytest.raises(ConfigError, match=BATCH_ENV):
+            batching_enabled()
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv(BATCH_ENV, "1")
@@ -112,7 +119,8 @@ class TestRunnerBatchFlag:
             "--exp", "ext_variance", "--scale", "smoke", "--batch",
             "--quiet", "--bench-json", str(path),
         ]) == 0
-        assert os.environ[BATCH_ENV] == "1"
+        # --batch configures the run; it is not exported.
+        assert os.environ[BATCH_ENV] == "0"
         records = json.loads(path.read_text())
         assert records[-1]["batch"] is True
 

@@ -208,7 +208,7 @@ class TestModuleEntryPoint:
 
 
 class TestShardsCLI:
-    def test_shards_exported_to_environment(self, capsys, monkeypatch):
+    def test_shards_not_exported_to_environment(self, capsys, monkeypatch):
         import os
 
         from repro.sorting.registry import SHARDS_ENV
@@ -217,7 +217,7 @@ class TestShardsCLI:
         assert main(
             ["--exp", "fig02", "--scale", "smoke", "--shards", "2"]
         ) == 0
-        assert os.environ[SHARDS_ENV] == "2"
+        assert os.environ[SHARDS_ENV] == "1"
 
     def test_invalid_shards_rejected(self):
         with pytest.raises(SystemExit):
@@ -293,7 +293,7 @@ class TestBenchScalingFields:
         record = json.loads(path.read_text())[0]
         assert record["cpus"] == os.cpu_count()
         assert record["workers_effective"] == 1
-        assert record["shards"] is None
+        assert record["shards"] == 1
 
     def test_speedup_vs_serial_baseline(self, capsys, tmp_path, monkeypatch):
         from repro.sorting.registry import SHARDS_ENV
@@ -327,3 +327,74 @@ class TestBenchScalingFields:
              "--bench-json", str(path)]
         ) == 0
         assert "speedup_vs_serial" not in json.loads(path.read_text())[0]
+
+
+class TestExecutionConfig:
+    """The runner installs its execution config and exports nothing."""
+
+    FLAGS = ["--kernels", "numpy", "--shards", "2", "--batch"]
+
+    @pytest.fixture
+    def clean_env(self, monkeypatch, tmp_path):
+        from repro.execution import (
+            BATCH_ENV, KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV,
+        )
+
+        for name in (BATCH_ENV, KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+
+    @staticmethod
+    def assert_untouched(before: dict) -> None:
+        import os
+
+        from repro.parallel import ShardedSorter
+        from repro.sorting.registry import make_sorter
+
+        assert dict(os.environ) == before
+        assert not isinstance(make_sorter("lsd6"), ShardedSorter)
+
+    def test_main_leaves_environment_unchanged(self, clean_env, capsys):
+        import os
+
+        before = dict(os.environ)
+        assert main(["--exp", "fig02", "--scale", "smoke", *self.FLAGS]) == 0
+        self.assert_untouched(before)
+
+    def test_resume_leaves_environment_unchanged(self, clean_env, capsys):
+        import os
+
+        argv = ["--exp", "fig02", "--scale", "smoke", *self.FLAGS]
+        assert main(argv + ["--checkpoint", "cfg"]) == 0
+        before = dict(os.environ)
+        assert main(["--resume", "cfg", "--shards", "2"]) == 0
+        self.assert_untouched(before)
+
+    def test_resume_adopts_recorded_kernels(
+        self, clean_env, capsys, monkeypatch
+    ):
+        from repro.execution import KERNELS_ENV
+
+        argv = ["--exp", "fig02", "--scale", "smoke", "--kernels", "numpy"]
+        assert main(argv + ["--checkpoint", "k"]) == 0
+        monkeypatch.setenv(KERNELS_ENV, "scalar")
+        assert main(["--resume", "k"]) == 0
+
+    def test_resume_refuses_other_kernels(self, clean_env, capsys):
+        argv = ["--exp", "fig02", "--scale", "smoke", "--kernels", "numpy"]
+        assert main(argv + ["--checkpoint", "k"]) == 0
+        capsys.readouterr()
+        assert main(["--resume", "k", "--kernels", "scalar"]) == 2
+        assert (
+            "kernels: recorded 'numpy', requested 'scalar'"
+            in capsys.readouterr().err
+        )
+
+    def test_malformed_env_is_a_config_error(
+        self, clean_env, capsys, monkeypatch
+    ):
+        from repro.execution import SANITIZE_ENV
+
+        monkeypatch.setenv(SANITIZE_ENV, "enabled")
+        assert main(["--exp", "fig02", "--scale", "smoke"]) == 2
+        assert SANITIZE_ENV in capsys.readouterr().err

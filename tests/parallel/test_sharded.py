@@ -13,7 +13,7 @@ from repro.memory.approx_array import PreciseArray
 from repro.memory.stats import MemoryStats
 from repro.memory.write_combining import WriteCombiningArray
 from repro.parallel.pool import fork_available
-from repro.parallel.sharded import SHARD_WORKERS_ENV, ShardedSorter
+from repro.parallel.sharded import ShardedSorter
 from repro.sorting.registry import make_base_sorter, with_kernels
 from repro.workloads.generators import uniform_keys
 
@@ -203,19 +203,11 @@ class TestConfiguration:
         with pytest.raises(ConfigError, match="workers"):
             ShardedSorter(make_base_sorter("mergesort"), workers=-1)
 
-    def test_workers_env_honoured(self, monkeypatch):
-        monkeypatch.setenv(SHARD_WORKERS_ENV, "0")
+    def test_workers_zero_runs_in_process(self):
         sorter = ShardedSorter(make_base_sorter("mergesort"), shards=3,
-                               min_n=2)
+                               workers=0, min_n=2)
         run_precise(sorter, uniform_keys(200, seed=0), with_ids=False)
         assert sorter.last_plan["pooled"] is False
-
-    def test_workers_env_validated(self, monkeypatch):
-        monkeypatch.setenv(SHARD_WORKERS_ENV, "many")
-        sorter = ShardedSorter(make_base_sorter("mergesort"), shards=3,
-                               min_n=2)
-        with pytest.raises(ConfigError, match=SHARD_WORKERS_ENV):
-            run_precise(sorter, uniform_keys(200, seed=0), with_ids=False)
 
     def test_with_kernels_round_trip(self):
         sorter = sharded("lsd4", shards=5, partition="sample",

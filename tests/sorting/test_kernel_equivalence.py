@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.core.refine import find_rem_ids, merge_refined, sort_rem_ids
-from repro.kernels import KERNELS_ENV, resolve_kernels
+from repro.execution import KERNELS_ENV, resolve_kernels
 from repro.memory.approx_array import PreciseArray, WORD_LIMIT
 from repro.memory.config import MLCParams
 from repro.memory.factories import PCMMemoryFactory

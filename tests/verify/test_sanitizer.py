@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
-from repro.errors import SanitizerError
+from repro.errors import ConfigError, SanitizerError
 from repro.memory.approx_array import PreciseArray, WORD_LIMIT
 from repro.memory.stats import MemoryStats
 from repro.verify import (
@@ -40,10 +40,16 @@ class TestEnablement:
         assert sanitizing()
         assert isinstance(maybe_sanitize(PreciseArray([1])), SanitizedArray)
 
-    @pytest.mark.parametrize("value", ["0", "false", "", "off", "2"])
+    @pytest.mark.parametrize("value", ["0", "false", "", "off"])
     def test_falsy_values(self, monkeypatch, value):
         monkeypatch.setenv(SANITIZE_ENV, value)
         assert not sanitizing()
+
+    @pytest.mark.parametrize("value", ["2", "enabled"])
+    def test_malformed_values_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(SANITIZE_ENV, value)
+        with pytest.raises(ConfigError, match=SANITIZE_ENV):
+            sanitizing()
 
     def test_sanitize_idempotent(self):
         inner = PreciseArray([1, 2])
