@@ -1,27 +1,16 @@
-"""Batched segmented-sort engine (DESIGN.md section 13, docs/batching.md).
+"""The batch engine (DESIGN.md section 13, docs/batching.md).
 
-Coalesces many small independent sort/refine jobs into single vectorized
-kernel passes over one concatenated buffer — bit-identical per-job results
-and stats, per-segment stats tiling the batch aggregate exactly.
+Groups many small independent sort/refine jobs by execution config, runs
+each through the one approx-refine pipeline, and reports every group as
+one unit: ``batch.*`` metrics and a ``batch.run`` span whose per-job
+``batch.segment`` children tile it exactly.
 """
 
-from .engine import (
-    BatchJob,
-    SEGMENTED_SORTERS,
-    run_approx_refine_batch,
-    run_batch,
-    run_job_group,
-    run_precise_sort_batch,
-)
-from .segments import SegmentPlan, tiled_aggregate
+from .engine import BatchJob, run_batch, run_job_group, tiled_aggregate
 
 __all__ = [
     "BatchJob",
-    "SEGMENTED_SORTERS",
-    "SegmentPlan",
-    "run_approx_refine_batch",
     "run_batch",
     "run_job_group",
-    "run_precise_sort_batch",
     "tiled_aggregate",
 ]

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.memory.approx_array import PreciseArray
 from repro.memory.factories import ApproxMemoryFactory
 from repro.memory.stats import MemoryStats
@@ -116,13 +118,16 @@ def run_approx_refine(
                 keys, stats=stats, name="Key0", trace=hook("Key0", "precise")
             ))
             ids = wrap(PreciseArray(
-                range(n), stats=stats, name="ID", trace=hook("ID", "precise")
+                np.arange(n, dtype=np.uint32), stats=stats, name="ID",
+                trace=hook("ID", "precise"),
             ))
 
         # Stage: approx preparation (accounted copy Key0 -> Key~).
         with stages.stage("approx_preparation"):
             approx_keys = wrap(
-                memory.make_array([0] * n, stats=stats, seed=seed)
+                memory.make_array(
+                    np.zeros(n, dtype=np.uint32), stats=stats, seed=seed
+                )
             )
             approx_keys.trace = hook("Key~", "approx")
             approx_keys.load_from(key0)
@@ -150,11 +155,11 @@ def run_approx_refine(
         # Refine step 3: merge into the final precise output.
         with stages.stage("refine_merge"):
             final_keys = wrap(PreciseArray(
-                [0] * n, stats=stats, name="finalKey",
+                np.zeros(n, dtype=np.uint32), stats=stats, name="finalKey",
                 trace=hook("finalKey", "precise"),
             ))
             final_ids = wrap(PreciseArray(
-                [0] * n, stats=stats, name="finalID",
+                np.zeros(n, dtype=np.uint32), stats=stats, name="finalID",
                 trace=hook("finalID", "precise"),
             ))
             merge_refined(
@@ -208,7 +213,7 @@ def run_precise_baseline(
             keys, stats=stats, name="Key", trace=hook("Key", "precise")
         ))
         id_array = wrap(PreciseArray(
-            range(len(keys)), stats=stats, name="ID",
+            np.arange(len(keys), dtype=np.uint32), stats=stats, name="ID",
             trace=hook("ID", "precise"),
         ))
         algorithm.sort(key_array, id_array)
@@ -268,10 +273,14 @@ def run_approx_only(
     n = len(keys)
     stats = MemoryStats()
     wrap = sanitize if sanitizing() else (lambda array: array)
-    approx_keys = wrap(memory.make_array([0] * n, stats=stats, seed=seed))
+    approx_keys = wrap(
+        memory.make_array(np.zeros(n, dtype=np.uint32), stats=stats, seed=seed)
+    )
     approx_keys.write_block(0, list(keys))
     ids = (
-        wrap(PreciseArray(range(n), stats=stats, name="ID"))
+        wrap(PreciseArray(
+            np.arange(n, dtype=np.uint32), stats=stats, name="ID"
+        ))
         if include_ids else None
     )
     algorithm.sort(approx_keys, ids)

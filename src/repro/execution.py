@@ -1,6 +1,6 @@
-"""The execution config: kernels, shards, sanitize and batch (DESIGN.md §8).
+"""The execution config: kernels, shards and sanitize (DESIGN.md §8).
 
-:meth:`ExecConfig.from_env` is the only reader of the four ``REPRO_*``
+:meth:`ExecConfig.from_env` is the only reader of the three ``REPRO_*``
 variables below.  An entry point (the experiment runner, the serve CLI,
 the fuzzer) resolves its config once and runs inside :func:`use`; library
 code reads :func:`current`, which falls back to the environment when no
@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from repro.errors import ConfigError
@@ -19,7 +20,6 @@ from repro.errors import ConfigError
 KERNELS_ENV = "REPRO_KERNELS"
 SHARDS_ENV = "REPRO_SHARDS"
 SANITIZE_ENV = "REPRO_SANITIZE"
-BATCH_ENV = "REPRO_BATCH"
 
 #: Accepted kernel modes.
 KERNEL_MODES = ("scalar", "numpy")
@@ -39,9 +39,8 @@ def _check_kernels(value: str, source: str) -> str:
     return value
 
 
-def _env_flag(name: str) -> bool:
-    raw = os.environ.get(name, "")
-    value = raw.strip().lower()
+def _parse_flag(name: str, raw: Optional[str]) -> bool:
+    value = (raw or "").strip().lower()
     if value not in _TRUE | _FALSE:
         raise ConfigError(
             f"{name} must be one of {sorted(_TRUE)} or"
@@ -50,8 +49,7 @@ def _env_flag(name: str) -> bool:
     return value in _TRUE
 
 
-def _env_shards() -> int:
-    raw = os.environ.get(SHARDS_ENV, "")
+def _parse_shards(raw: Optional[str]) -> int:
     try:
         shards = int(raw) if raw else 1
     except ValueError:
@@ -65,12 +63,11 @@ def _env_shards() -> int:
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """How a run executes: kernel mode, shard count, sanitizer, batching."""
+    """How a run executes: kernel mode, shard count, sanitizer."""
 
     kernels: str = "scalar"
     shards: int = 1
     sanitize: bool = False
-    batch: bool = False
 
     def __post_init__(self) -> None:
         _check_kernels(self.kernels, "the kernels setting")
@@ -81,20 +78,36 @@ class ExecConfig:
     def from_env(cls) -> "ExecConfig":
         """The env's config (unset or empty: default); a malformed value
         raises :class:`ConfigError` naming its variable."""
-        return cls(
-            kernels=_check_kernels(
-                os.environ.get(KERNELS_ENV) or "scalar",
-                f"the {KERNELS_ENV} environment variable",
-            ),
-            shards=_env_shards(),
-            sanitize=_env_flag(SANITIZE_ENV),
-            batch=_env_flag(BATCH_ENV),
-        )
+        return _parse_env(_raw_env())
 
     def result_fields(self) -> dict:
         """The fields that change which writes err, for records to carry
-        (``sanitize`` and ``batch`` are bit-identical)."""
+        (``sanitize`` is bit-identical)."""
         return {"kernels": self.kernels, "shards": self.shards}
+
+
+def _raw_env() -> tuple[Optional[str], Optional[str], Optional[str]]:
+    return (
+        os.environ.get(KERNELS_ENV),
+        os.environ.get(SHARDS_ENV),
+        os.environ.get(SANITIZE_ENV),
+    )
+
+
+@lru_cache(maxsize=16)
+def _parse_env(
+    raw: tuple[Optional[str], Optional[str], Optional[str]],
+) -> ExecConfig:
+    """The config of one set of raw values, parsed once per distinct set
+    (a malformed value raises every time: exceptions are not cached)."""
+    kernels, shards, sanitize = raw
+    return ExecConfig(
+        kernels=_check_kernels(
+            kernels or "scalar", f"the {KERNELS_ENV} environment variable"
+        ),
+        shards=_parse_shards(shards),
+        sanitize=_parse_flag(SANITIZE_ENV, sanitize),
+    )
 
 
 _installed: Optional[ExecConfig] = None
@@ -102,7 +115,7 @@ _installed: Optional[ExecConfig] = None
 
 def current() -> ExecConfig:
     """The config the running entry point installed, else the env's."""
-    return _installed if _installed is not None else ExecConfig.from_env()
+    return _installed if _installed is not None else _parse_env(_raw_env())
 
 
 def install(config: Optional[ExecConfig]) -> None:
@@ -127,8 +140,3 @@ def resolve_kernels(kernels: Optional[str] = None) -> str:
     if not kernels:
         return current().kernels
     return _check_kernels(kernels, "the kernels= argument")
-
-
-def batching_enabled(batch: Optional[bool] = None) -> bool:
-    """Whether cell fan-outs coalesce: explicit argument, else config."""
-    return current().batch if batch is None else batch

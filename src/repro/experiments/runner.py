@@ -38,20 +38,14 @@ errors (2).  The ``REPRO_FAULT`` environment variable injects test faults
 total seconds, plus the scale/seed/jobs/kernels configuration) to a JSON
 array file, ``BENCH_runner.json`` by default.
 
-``--kernels``, ``--shards``, ``--sanitize`` and ``--batch`` (else their
-``REPRO_*`` variables) form the run's :class:`repro.execution.ExecConfig`,
+``--kernels``, ``--shards`` and ``--sanitize`` (else their ``REPRO_*``
+variables) form the run's :class:`repro.execution.ExecConfig`,
 resolved once and installed for the whole run, workers included; nothing
 is exported to ``os.environ``.  A checkpoint records its kernels and shards;
 a resume adopts the recorded kernel mode when the command line gives none.
 
 ``--kernels numpy`` switches every sorter and refine call to the
 vectorized kernels; accounted counts are unchanged (DESIGN.md section 8).
-
-``--batch``: experiments that declare a cell batcher (currently
-``ext_variance``) coalesce their independent cells through the
-:mod:`repro.batch` segmented-sort engine — one vectorized kernel pass
-advances every cell — with per-cell results bit-identical to looped
-execution (DESIGN.md section 13, docs/batching.md).
 
 ``--sanitize``: the pipelines wrap their arrays in the
 :mod:`repro.verify` runtime sanitizer, which re-checks bounds, accounting
@@ -104,7 +98,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.errors import CheckpointCorruptError, ConfigError
-from repro.execution import BATCH_ENV, KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV
+from repro.execution import KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV
 from repro.execution import KERNEL_MODES, ExecConfig, use
 from repro.obs import (
     METRICS_DIR_ENV,
@@ -640,6 +634,7 @@ def _serial_baseline(path: Path, record: dict) -> "dict | None":
             and candidate.get("kernels") == record.get("kernels")
             and candidate.get("jobs", 1) == 1
             and (candidate.get("shards") or 1) == 1
+            # Older records of batched runs carry "batch": true.
             and not candidate.get("batch")
             and candidate.get("total_s")
         ):
@@ -746,15 +741,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " enables the vectorized fast path (same accounted counts),"
         " 'scalar' forces the reference loops; default: the"
         f" {KERNELS_ENV} environment variable, else scalar",
-    )
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="coalesce an experiment's independent cells through the"
-        " repro.batch segmented-sort engine where the experiment supports"
-        f" it (or {BATCH_ENV}=1; per-cell results are bit-identical"
-        " to looped execution; ignored under --sanitize/--shards, which"
-        " fall back to the looped pipeline — traced runs stay batched and"
-        " synthesize per-segment spans)",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -898,7 +884,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             kernels=args.kernels or recorded.get("kernels") or env.kernels,
             shards=env.shards if args.shards is None else args.shards,
             sanitize=args.sanitize or env.sanitize,
-            batch=args.batch or env.batch,
         )
         config = {
             "experiments": names,
@@ -1096,7 +1081,6 @@ def _main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "cpus": os.cpu_count(),
             "workers_effective": workers_effective,
             **exec_config.result_fields(),
-            "batch": exec_config.batch,
             "experiments": {name: round(t, 3) for name, t in timings.items()},
             "total_s": round(total, 3),
         }

@@ -195,6 +195,22 @@ class BaseSorter:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values[order], order)`` for the stable ascending ``order`` of the
+    uint32 ``values`` — ``np.argsort(values, kind="stable")``, faster.
+
+    Packing each key above its position makes every word distinct, so any
+    sort of the packed words is stable, and numpy's uint64 sort beats a
+    stable argsort of 32-bit keys several times over from a few thousand
+    keys up.
+    """
+    packed = values.astype(np.uint64) << np.uint64(32)
+    packed |= np.arange(values.size, dtype=np.uint64)
+    packed.sort()
+    ordered = (packed >> np.uint64(32)).astype(np.uint32)
+    return ordered, (packed & np.uint64(0xFFFFFFFF)).astype(np.intp)
+
+
 def nlog2n(n: int) -> float:
     """``n * log2(n)`` with the small-n edge handled."""
     if n < 2:

@@ -14,10 +14,10 @@ whole merge level is two numpy calls over the level's values:
   high bits keeps every merge inside its group, and stability gives ties
   to the earlier run (and, within a run, to the earlier position).
 
-Ragged tails, empty runs, dirty (unsorted) runs and independent segments
-all go through the same call.  The kernel only reorders values the caller
-has already read; it touches no memory array, so accounting and the
-corruption stream stay with the caller's block reads and writes.
+Ragged tails, empty runs and dirty (unsorted) runs all go through the
+same call.  The kernel only reorders values the caller has already read;
+it touches no memory array, so accounting and the corruption stream stay
+with the caller's block reads and writes.
 """
 
 from __future__ import annotations
@@ -46,32 +46,13 @@ def merge_order(
     return np.argsort(pm, kind="stable")
 
 
-def level_order(
-    values: np.ndarray,
-    width: int,
-    fan_in: int = 2,
-    sizes: Optional[Sequence[int]] = None,
-) -> np.ndarray:
+def level_order(values: np.ndarray, width: int, fan_in: int = 2) -> np.ndarray:
     """Permutation of one bottom-up merge level of run width ``width``.
 
-    Every group of ``fan_in`` adjacent runs merges; the last group of a
-    segment may be partial (a ragged tail, or a lone run that stays put).
-    ``sizes`` splits ``values`` into independent consecutive segments,
-    each with its own level layout (default: one segment).
+    Every group of ``fan_in`` adjacent runs merges; the last group may be
+    partial (a ragged tail, or a lone run that stays put).
     """
-    local = np.arange(values.size, dtype=np.int64)
-    if sizes is None:
-        run = local // width
-    else:
-        lens = np.asarray(sizes, dtype=np.int64)
-        starts = np.cumsum(lens) - lens
-        part = np.repeat(np.arange(lens.size), lens)
-        local -= starts[part]
-        # Offset each segment's run labels to a fresh multiple of fan_in,
-        # so ``run // fan_in`` never spans two segments.
-        groups = -(-lens // (width * fan_in))
-        run_base = (np.cumsum(groups) - groups) * fan_in
-        run = local // width + run_base[part]
+    run = np.arange(values.size, dtype=np.int64) // width
     return merge_order(values, run, run // fan_in)
 
 

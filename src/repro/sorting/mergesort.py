@@ -26,12 +26,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.memory.approx_array import InstrumentedArray, PreciseArray
 from repro.obs import get_tracer
 
-from .base import BaseSorter, nlog2n
+from .base import BaseSorter, nlog2n, stable_order
 from .merge_kernels import level_order, runs_order
 
 
@@ -66,10 +64,9 @@ class Mergesort(BaseSorter):
         reads and rewrites of every element of each array.
         """
         n = len(keys)
-        values = keys.peek_block_np(0, n)
-        order = np.argsort(values, kind="stable")
+        ordered, order = stable_order(keys.peek_block_np(0, n))
         touches = merge_passes(n) * n  # per array: reads == writes
-        self._commit_fused(keys, ids, values[order], order, touches)
+        self._commit_fused(keys, ids, ordered, order, touches)
 
     def _sort_levels(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]

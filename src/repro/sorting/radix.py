@@ -32,7 +32,7 @@ from repro.memory.approx_array import ApproxArray, InstrumentedArray, PreciseArr
 from repro.memory.error_model import WordErrorModel
 from repro.obs import get_tracer
 
-from .base import BaseSorter
+from .base import BaseSorter, stable_order
 from .msd_walk import PlannedWalk, prefix_runs, walk_segments
 
 #: Key width the digit plans cover (the paper's 32-bit integer keys).
@@ -108,7 +108,31 @@ class LSDRadixSort(BaseSorter):
     def _sort(
         self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
     ) -> None:
+        if self._fusable(keys, ids):
+            self._sort_fused(keys, ids)
+        else:
+            self._sort_levels(keys, ids)
+
+    def _sort_fused(
+        self, keys: PreciseArray, ids: Optional[PreciseArray]
+    ) -> None:
+        """LSD radix on precise memory, fused.
+
+        Every pass is a stable distribution and the passes consume the
+        whole key, so the output is the stable ascending order: one stable
+        argsort.  Accounting replays the pass path exactly: each pass reads
+        and rewrites every element of each array twice, into the bucket
+        region and back.
+        """
         n = len(keys)
+        ordered, order = stable_order(keys.peek_block_np(0, n))
+        touches = 2 * n * len(self._plan)  # per array: reads == writes
+        self._commit_fused(keys, ids, ordered, order, touches)
+
+    def _sort_levels(
+        self, keys: InstrumentedArray, ids: Optional[InstrumentedArray]
+    ) -> None:
+        """The pass-by-pass sort through the bucket region."""
         bucket_keys = keys.clone_empty(name=f"{keys.name}.buckets")
         bucket_ids = (
             ids.clone_empty(name=f"{ids.name}.buckets") if ids is not None else None
@@ -316,9 +340,7 @@ class _MSDWalkSorter(BaseSorter):
         sizes the planned walk finds with the same :func:`prefix_runs`.
         """
         n = len(keys)
-        values = keys.peek_block_np(0, n)
-        order = np.argsort(values, kind="stable")
-        ordered = values[order]
+        ordered, order = stable_order(keys.peek_block_np(0, n))
         charged = n
         for shift, _ in self._plan[:-1]:
             starts, ends = prefix_runs(ordered >> np.uint32(shift))

@@ -33,7 +33,7 @@ and compares everything observable:
     decision, never an observable one.
 ``batched_loop``
     A ragged batch of jobs (including empty and singleton segments) run
-    through the :mod:`repro.batch` segmented engine vs job-by-job looped
+    through the :mod:`repro.batch` engine vs job-by-job looped
     execution — bit-identical per-job keys, IDs, Rem~, ``MemoryStats``
     and per-stage stats on precise *and* approximate memory, plus the
     tiling law: the per-segment stats must merge to exactly the sum of
@@ -497,7 +497,7 @@ def check_sharded_serial(case: OracleCase) -> list[Divergence]:
 
 
 def check_batched_loop(case: OracleCase) -> list[Divergence]:
-    """Batched segmented execution ≡ looped execution, bit for bit.
+    """Batched execution ≡ looped execution, bit for bit.
 
     Builds a ragged batch around the case (full-size, singleton, empty and
     tiny segments), runs it through :func:`repro.batch.run_batch` on both
@@ -584,7 +584,7 @@ def check_batched_loop(case: OracleCase) -> list[Divergence]:
 
 
 def check_batch_span_tiling(case: OracleCase) -> list[Divergence]:
-    """Traced batched execution stays batched and its spans tile exactly.
+    """Traced batched execution emits batch spans that tile exactly.
 
     Runs a ragged batch (the ``batched_loop`` construction) under a live
     file tracer and requires: bit-identical results to the looped
@@ -592,17 +592,12 @@ def check_batch_span_tiling(case: OracleCase) -> list[Divergence]:
     ``batch.segment`` per job whose ``stats`` match that job's
     ``MemoryStats`` (integers exactly, write-units to ulp tolerance), and
     the verbatim ``cum_start``/``cum`` tiling chain that
-    :func:`repro.obs.report.check_events` enforces.  Under the sanitizer
-    or a shard count of 2 or more the engine legitimately loops and emits
-    no batch spans, so the class degenerates to a no-op there.
+    :func:`repro.obs.report.check_events` enforces — under every
+    execution config, sanitizer and shards included.
     """
     from repro.batch import BatchJob, run_batch
-    from repro.batch.engine import _needs_looped_run
     from repro.obs.io import read_traces
     from repro.obs.report import check_events
-
-    if _needs_looped_run():
-        return []
 
     out: list[Divergence] = []
     name = "batch_span_tiling"
@@ -666,7 +661,7 @@ def check_batch_span_tiling(case: OracleCase) -> list[Divergence]:
     runs = [e for e in span_ends if e["name"] == "batch.run"]
     if len(runs) != 1:
         out.append(Divergence(
-            name, "batch.run spans (engine stood down?)", None, 1, len(runs)
+            name, "batch.run spans", None, 1, len(runs)
         ))
         return out
     segments = sorted(

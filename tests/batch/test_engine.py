@@ -1,7 +1,7 @@
 """Batch engine contracts: batched execution is bit-identical to looped.
 
-The ragged batch used throughout mixes a full-size segment with empty,
-singleton and tiny ones, so every test also covers the edge segments the
+The ragged batch used throughout mixes a full-size job with empty,
+singleton and tiny ones, so every test also covers the edge jobs the
 engine promises to treat as first-class.
 """
 
@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.batch import (
-    BatchJob,
-    SEGMENTED_SORTERS,
-    run_approx_refine_batch,
-    run_batch,
-    run_job_group,
-    run_precise_sort_batch,
-    tiled_aggregate,
-)
+from repro.batch import BatchJob, run_batch, run_job_group, tiled_aggregate
 from repro.core.approx_refine import run_approx_refine, run_precise_baseline
 from repro.errors import ConfigError
 from repro.memory.stats import MemoryStats
@@ -61,14 +53,16 @@ class TestPreciseBitIdentity:
             run_precise_baseline(keys, algorithm, kernels=kernels)
             for keys in keys_list
         ]
-        batched = run_precise_sort_batch(keys_list, algorithm, kernels=kernels)
+        batched = run_batch([
+            BatchJob(keys=keys, sorter=algorithm, kernels=kernels)
+            for keys in keys_list
+        ])
         assert_results_equal(looped, batched, approx=False)
 
     def test_outputs_are_sorted_permutations(self):
         keys_list = ragged_keys(seed=11)
-        for result, keys in zip(
-            run_precise_sort_batch(keys_list, "lsd6"), keys_list
-        ):
+        jobs = [BatchJob(keys=keys, sorter="lsd6") for keys in keys_list]
+        for result, keys in zip(run_batch(jobs), keys_list):
             assert result.final_keys == sorted(keys)
             assert sorted(result.final_ids) == list(range(len(keys)))
 
@@ -86,17 +80,21 @@ class TestApproxBitIdentity:
             )
             for keys, seed in zip(keys_list, seeds)
         ]
-        batched = run_approx_refine_batch(
-            keys_list, algorithm, pcm_sweet, seeds=seeds, kernels=kernels
-        )
+        batched = run_batch([
+            BatchJob(keys=keys, sorter=algorithm, memory=pcm_sweet,
+                     seed=seed, kernels=kernels)
+            for keys, seed in zip(keys_list, seeds)
+        ])
         assert_results_equal(looped, batched, approx=True)
 
     def test_per_segment_stats_tile_the_aggregate(self, pcm_sweet):
         keys_list = ragged_keys(seed=3)
         seeds = list(range(len(keys_list)))
-        batched = run_approx_refine_batch(
-            keys_list, "lsd6", pcm_sweet, seeds=seeds, kernels="numpy"
-        )
+        batched = run_job_group([
+            BatchJob(keys=keys, sorter="lsd6", memory=pcm_sweet, seed=seed,
+                     kernels="numpy")
+            for keys, seed in zip(keys_list, seeds)
+        ])
         aggregate = tiled_aggregate([result.stats for result in batched])
         looped_sum = MemoryStats()
         for keys, seed in zip(keys_list, seeds):
@@ -138,7 +136,7 @@ class TestRunBatch:
 
 
 class TestFallbacks:
-    """Observers and non-batchable substrates defer to the looped pipeline."""
+    """Observers, shards and other substrates run the one pipeline too."""
 
     def test_sanitizer_run_matches_looped(self, pcm_sweet, monkeypatch):
         keys_list = ragged_keys(seed=8)
@@ -200,10 +198,17 @@ class TestFallbacks:
         assert results[0].stats.as_dict() == reference.stats.as_dict()
 
 
-class TestSegmentedSortersConstant:
-    def test_segmented_set_is_the_stable_closed_form_family(self):
-        assert set(SEGMENTED_SORTERS) == {
-            "lsd3", "lsd4", "lsd5", "lsd6", "mergesort"
-        }
-        for name in SEGMENTED_SORTERS:
-            assert name in available_sorters()
+
+class TestTiledAggregate:
+    def test_matches_in_order_merge(self):
+        parts = []
+        for i in range(3):
+            stats = MemoryStats()
+            stats.record_precise_read(i + 1)
+            stats.record_approx_write(0.1 * (i + 1), corrupted=bool(i))
+            parts.append(stats)
+        total = tiled_aggregate(parts)
+        reference = MemoryStats()
+        for stats in parts:
+            reference.merge(stats)
+        assert total.as_dict() == reference.as_dict()

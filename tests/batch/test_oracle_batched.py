@@ -34,19 +34,22 @@ class TestBatchedLoopClass:
         assert result.passed, [d.describe() for d in result.divergences]
 
     def test_detects_an_injected_divergence(self, monkeypatch):
-        # Corrupt the engine's analytic traffic helper: the oracle must
-        # localize the stats divergence rather than pass vacuously.
-        from repro.batch import segmented_kernels
+        # Skew one job's stats inside the engine: the oracle must localize
+        # the stats divergence rather than pass vacuously.
+        from repro.batch import engine
 
-        real = segmented_kernels._precise_traffic.__wrapped__
+        real = engine.run_precise_baseline
+        calls = []
 
-        def skewed(algorithm, n, bits):
-            reads, writes = real(algorithm, n, bits)
-            return reads + 1, writes
+        def skewed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(result)
+            if len(calls) == 1:
+                result.stats.record_precise_read(1)
+            return result
 
-        monkeypatch.setattr(
-            segmented_kernels, "_precise_traffic", skewed
-        )
+        monkeypatch.setattr(engine, "run_precise_baseline", skewed)
         divergences = check_batched_loop(OracleCase(algorithm="lsd6", n=60))
+        assert calls
         assert divergences
         assert "stats" in divergences[0].field

@@ -1,4 +1,4 @@
-"""Traced batches stay batched and synthesize a tiling span stream."""
+"""Traced batches synthesize a tiling span stream, sanitized or not."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from repro.obs import NULL_TRACER, Tracer, set_tracer
 from repro.obs.io import read_traces
 from repro.obs.report import build_report, check_events
 from repro.obs.tracer import STATS_FIELDS
+from repro.verify import checks_performed
 from repro.workloads.generators import uniform_keys
 
 FIT = 4_000
@@ -123,11 +124,19 @@ class TestEngineStaysEngagedUnderTrace:
         assert {"batch.run", "batch.segment"} <= names
 
 
-class TestFallbacksStillLoop:
-    def test_sanitized_run_emits_no_batch_spans(self, tmp_path, monkeypatch):
+class TestSanitizedRunsStayEngaged:
+    def test_sanitized_run_emits_tiling_batch_spans(self, tmp_path,
+                                                    monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        _, events = _traced_run(tmp_path, _jobs(memory=None, lengths=(40, 8)))
-        assert not any(
-            e.get("ev") == "span_end" and e["name"] == "batch.run"
-            for e in events
+        checks_before = checks_performed()
+        results, events = _traced_run(
+            tmp_path, _jobs(memory=None, lengths=(40, 8))
         )
+        # The sanitizer really ran inside the engine...
+        assert checks_performed() > checks_before
+        # ...and the group still reports as one tiling batch.
+        ends = [e for e in events if e.get("ev") == "span_end"]
+        (run,) = [e for e in ends if e["name"] == "batch.run"]
+        segments = [e for e in ends if e["name"] == "batch.segment"]
+        assert run["attrs"]["jobs"] == len(segments) == len(results)
+        assert check_events(events) == []

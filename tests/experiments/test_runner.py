@@ -332,15 +332,13 @@ class TestBenchScalingFields:
 class TestExecutionConfig:
     """The runner installs its execution config and exports nothing."""
 
-    FLAGS = ["--kernels", "numpy", "--shards", "2", "--batch"]
+    FLAGS = ["--kernels", "numpy", "--shards", "2", "--sanitize"]
 
     @pytest.fixture
     def clean_env(self, monkeypatch, tmp_path):
-        from repro.execution import (
-            BATCH_ENV, KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV,
-        )
+        from repro.execution import KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV
 
-        for name in (BATCH_ENV, KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV):
+        for name in (KERNELS_ENV, SANITIZE_ENV, SHARDS_ENV):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
 

@@ -99,27 +99,6 @@ class TestLevelOrder:
         expected = level_reference(keyed(values), width, fan_in)
         assert apply(arr, level_order(arr, width, fan_in)) == expected
 
-    @settings(max_examples=200)
-    @given(
-        parts=st.lists(key_lists(max_size=30), min_size=1, max_size=5),
-        width=st.integers(1, 16),
-        fan_in=st.integers(2, 5),
-    )
-    def test_segments_merge_independently(self, parts, width, fan_in):
-        # Empty segments included: each segment keeps its own level layout.
-        values = [v for part in parts for v in part]
-        records = keyed(values)
-        expected = []
-        start = 0
-        for part in parts:
-            expected += level_reference(
-                records[start : start + len(part)], width, fan_in
-            )
-            start += len(part)
-        arr = np.asarray(values, dtype=np.uint32)
-        order = level_order(arr, width, fan_in, sizes=[len(p) for p in parts])
-        assert apply(arr, order) == expected
-
     def test_sorted_runs_give_the_stable_merge(self):
         values = np.asarray([1, 3, 3, 7, 0, 3, 3, 9, 2, 2], dtype=np.uint32)
         order = level_order(values, 4)

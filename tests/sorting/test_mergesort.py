@@ -1,6 +1,6 @@
 """Mergesort-specific tests: stability, pass structure, write counts,
-and the fused precise paths (mergesort, ``msd*``, ``hmsd*``) against
-their unfused level-by-level paths."""
+and the fused precise paths (mergesort, ``lsd*``, ``msd*``, ``hmsd*``)
+against their unfused level-by-level paths."""
 
 import io
 import json
@@ -23,6 +23,12 @@ SHAPES = (2, 3, 17, 100, 1023, 1024, 1025)
 #: MSD sorters sharing the fusion gate: queue and histogram walks at the
 #: narrowest and widest digit.
 MSD_SORTERS = ("msd3", "msd6", "hmsd3", "hmsd6")
+
+#: LSD sorters sharing the fusion gate: every digit width, since each
+#: gives a different pass count.
+LSD_SORTERS = ("lsd3", "lsd4", "lsd5", "lsd6")
+
+FUSED_SORTERS = ("mergesort", *MSD_SORTERS, *LSD_SORTERS)
 
 
 def run(keys, with_ids=False):
@@ -119,8 +125,8 @@ def run_path(keys: list[int], with_ids: bool, sort):
 
 
 def run_generic(name: str, keys: list[int], with_ids: bool):
-    """The level-by-level path (MSD: the segment walk), whatever the
-    fusion gate says."""
+    """The level-by-level path (LSD: the pass loop, MSD: the segment
+    walk), whatever the fusion gate says."""
     base = make_base_sorter(name, kernels="numpy")
     return run_path(keys, with_ids, base._sort_levels)
 
@@ -141,13 +147,13 @@ def run_fused(name: str, keys: list[int], with_ids: bool):
 
 
 class TestFusedMatchesGeneric:
-    @pytest.mark.parametrize("name", ["mergesort", *MSD_SORTERS])
+    @pytest.mark.parametrize("name", FUSED_SORTERS)
     @pytest.mark.parametrize("n", SHAPES)
     def test_keys_only(self, name, n):
         keys = uniform_keys(n, seed=n)
         assert run_fused(name, keys, False) == run_generic(name, keys, False)
 
-    @pytest.mark.parametrize("name", ["mergesort", *MSD_SORTERS])
+    @pytest.mark.parametrize("name", FUSED_SORTERS)
     def test_with_ids(self, name):
         keys = uniform_keys(257, seed=3)
         assert run_fused(name, keys, True) == run_generic(name, keys, True)
@@ -169,6 +175,9 @@ class TestFusedMatchesGeneric:
         keys = [5, 1, 5, 1, 5, 1, 2] * 40
         assert run_fused("mergesort", keys, True) == run_generic(
             "mergesort", keys, True
+        )
+        assert run_fused("lsd4", keys, True) == run_generic(
+            "lsd4", keys, True
         )
 
 
@@ -220,10 +229,9 @@ class TestGating:
         assert out == run_generic("mergesort", keys, True)
 
 
-@pytest.mark.parametrize("name", ["msd4", "hmsd4"])
-class TestMSDGating:
-    """The MSD sorters use the mergesort gate: every condition that keeps
-    mergesort on its level path keeps them on the segment walk."""
+class _SharedGate:
+    """The mergesort gate, shared: every condition that keeps mergesort on
+    its level path keeps the parametrized sorter on its unfused path."""
 
     def test_fused_on_bare_precise_memory(self, name):
         keys = PreciseArray(uniform_keys(32, seed=0))
@@ -252,6 +260,9 @@ class TestMSDGating:
         assert not base._fusable(sanitize(keys), None)
         assert not base._fusable(keys, sanitize(ids))
 
+
+@pytest.mark.parametrize("name", ["msd4", "hmsd4"])
+class TestMSDGating(_SharedGate):
     def test_enabled_tracer_keeps_depth_counters(self, name):
         keys = uniform_keys(2000, seed=6)
         sink = io.StringIO()
@@ -276,4 +287,26 @@ class TestMSDGating:
         # round trip: the counters account for all of the walk's traffic.
         touches = 2 if name.startswith("msd") else 1
         assert sum(elements.values()) * touches == out[2]["precise_writes"]
+        assert out == run_generic(name, keys, True)
+
+
+@pytest.mark.parametrize("name", LSD_SORTERS)
+class TestLSDGating(_SharedGate):
+    def test_enabled_tracer_keeps_pass_spans(self, name):
+        keys = uniform_keys(500, seed=6)
+        sink = io.StringIO()
+        previous = set_tracer(Tracer(sink=sink))
+        try:
+            out = run_gated(name, keys, True, fused=False)
+        finally:
+            set_tracer(previous)
+        passes = len(make_base_sorter(name)._plan)
+        spans = {
+            json.loads(line)["name"]
+            for line in sink.getvalue().splitlines()
+            if json.loads(line)["ev"] == "span_start"
+        }
+        assert {f"radix.pass{i}" for i in range(passes)} <= spans
+        # Two writes per element per pass, keys and ids alike.
+        assert out[2]["precise_writes"] == 2 * passes * len(keys)
         assert out == run_generic(name, keys, True)

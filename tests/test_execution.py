@@ -12,7 +12,6 @@ import pytest
 import repro
 from repro.errors import ConfigError
 from repro.execution import (
-    BATCH_ENV,
     KERNELS_ENV,
     SANITIZE_ENV,
     SHARDS_ENV,
@@ -22,7 +21,7 @@ from repro.execution import (
 )
 from repro.experiments.common import map_cells
 
-CONFIG_VARS = (KERNELS_ENV, SHARDS_ENV, SANITIZE_ENV, BATCH_ENV)
+CONFIG_VARS = (KERNELS_ENV, SHARDS_ENV, SANITIZE_ENV)
 
 
 @pytest.fixture
@@ -39,16 +38,15 @@ class TestFromEnv:
     def test_defaults(self, clean_env):
         assert ExecConfig.from_env() == ExecConfig()
         assert ExecConfig() == ExecConfig(
-            kernels="scalar", shards=1, sanitize=False, batch=False
+            kernels="scalar", shards=1, sanitize=False
         )
 
     def test_reads_every_variable(self, clean_env, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, "numpy")
         monkeypatch.setenv(SHARDS_ENV, "3")
         monkeypatch.setenv(SANITIZE_ENV, " Yes ")
-        monkeypatch.setenv(BATCH_ENV, "ON")
         assert ExecConfig.from_env() == ExecConfig(
-            kernels="numpy", shards=3, sanitize=True, batch=True
+            kernels="numpy", shards=3, sanitize=True
         )
 
     @pytest.mark.parametrize("name", CONFIG_VARS)
@@ -63,8 +61,6 @@ class TestFromEnv:
         (SHARDS_ENV, "-2"),
         (SANITIZE_ENV, "enabled"),
         (SANITIZE_ENV, "2"),
-        (BATCH_ENV, "enabled"),
-        (BATCH_ENV, "nope"),
     ])
     def test_malformed_value_names_its_variable(
         self, clean_env, monkeypatch, name, value
@@ -73,15 +69,14 @@ class TestFromEnv:
         with pytest.raises(ConfigError, match=name):
             ExecConfig.from_env()
 
-    @pytest.mark.parametrize("name", (SANITIZE_ENV, BATCH_ENV))
+    @pytest.mark.parametrize("name", (SANITIZE_ENV,))
     def test_one_boolean_parser(self, clean_env, monkeypatch, name):
-        field = "sanitize" if name == SANITIZE_ENV else "batch"
         for value in ("1", "true", "yes", "on", "TRUE"):
             monkeypatch.setenv(name, value)
-            assert getattr(ExecConfig.from_env(), field) is True
+            assert ExecConfig.from_env().sanitize is True
         for value in ("", "0", "false", "no", "off", "Off"):
             monkeypatch.setenv(name, value)
-            assert getattr(ExecConfig.from_env(), field) is False
+            assert ExecConfig.from_env().sanitize is False
 
     def test_fields_validated(self):
         with pytest.raises(ConfigError, match="kernels"):
@@ -90,8 +85,7 @@ class TestFromEnv:
             ExecConfig(shards=0)
 
     def test_result_fields(self):
-        config = ExecConfig(kernels="numpy", shards=2, sanitize=True,
-                            batch=True)
+        config = ExecConfig(kernels="numpy", shards=2, sanitize=True)
         assert config.result_fields() == {"kernels": "numpy", "shards": 2}
 
 
@@ -99,6 +93,14 @@ class TestInstall:
     def test_current_falls_back_to_env(self, clean_env, monkeypatch):
         monkeypatch.setenv(SHARDS_ENV, "4")
         assert current().shards == 4
+        # The parse is memoized on the raw values: a change is still seen,
+        # and a malformed value still raises on every call.
+        monkeypatch.setenv(SHARDS_ENV, "2")
+        assert current().shards == 2
+        monkeypatch.setenv(SHARDS_ENV, "two")
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=SHARDS_ENV):
+                current()
 
     def test_use_wins_over_env_and_restores(self, clean_env, monkeypatch):
         monkeypatch.setenv(KERNELS_ENV, "numpy")
@@ -112,14 +114,13 @@ class TestInstall:
 
     def test_use_restores_after_an_error(self, clean_env):
         with pytest.raises(RuntimeError):
-            with use(ExecConfig(batch=True)):
+            with use(ExecConfig(sanitize=True)):
                 raise RuntimeError("boom")
         assert current() == ExecConfig()
 
     def test_use_leaves_environment_alone(self, clean_env):
         before = dict(os.environ)
-        with use(ExecConfig(kernels="numpy", shards=2, sanitize=True,
-                            batch=True)):
+        with use(ExecConfig(kernels="numpy", shards=2, sanitize=True)):
             pass
         assert dict(os.environ) == before
 
@@ -134,7 +135,7 @@ class TestInstall:
 # One reader: a source scan of the package
 # ---------------------------------------------------------------------- #
 
-_CONFIG_CONSTS = {"KERNELS_ENV", "SHARDS_ENV", "SANITIZE_ENV", "BATCH_ENV"}
+_CONFIG_CONSTS = {"KERNELS_ENV", "SHARDS_ENV", "SANITIZE_ENV"}
 _ENV_METHODS = {"get", "pop", "setdefault", "__getitem__", "__setitem__",
                 "__delitem__", "__contains__"}
 _GETENV = {"getenv", "putenv", "unsetenv"}
@@ -207,9 +208,9 @@ class TestOneReader:
             "from os import environ\n"
             "a = os.environ.get(SHARDS_ENV)\n"
             "b = os.environ['REPRO_KERNELS']\n"
-            "os.environ[BATCH_ENV] = '1'\n"
+            "os.environ[SANITIZE_ENV] = '1'\n"
             "os.environ.pop(mod.SANITIZE_ENV, None)\n"
-            "c = os.getenv('REPRO_BATCH')\n"
+            "c = os.getenv('REPRO_SANITIZE')\n"
             "d = 'REPRO_SHARDS' in environ\n"
             "os.environ.update(REPRO_SANITIZE='1')\n"
             "e = os.environ.get('REPRO_TRACE_DIR')\n"
